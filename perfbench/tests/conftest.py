@@ -1,0 +1,12 @@
+"""Make the benchmark package and the checkout's sources importable.
+
+Run with ``python3 -m pytest perfbench/tests -q`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent.parent / "src", HERE.parent):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
