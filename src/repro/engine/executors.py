@@ -385,6 +385,54 @@ class QuantizedTapeEvaluator:
 
 
 # ----------------------------------------------------------------------
+# Exact vectorized parameter quantization (§3.1 eqs. 2 and 6)
+# ----------------------------------------------------------------------
+def _round_shift_words(value: np.ndarray, shift, mode: RoundingMode):
+    """Vectorized :func:`repro.arith.rounding.round_shift`, 0 ≤ shift ≤ 62.
+
+    ``shift`` may be a scalar or a per-lane array; ``value`` must be
+    non-negative int64 words.
+    """
+    quotient = value >> shift
+    if mode is RoundingMode.TRUNCATE:
+        return quotient
+    remainder = value - (quotient << shift)
+    # For shift == 0 lanes remainder is 0, so the (arbitrary) half
+    # value never triggers a round-up there.
+    half = np.int64(1) << (np.maximum(shift, 1) - 1)
+    if mode is RoundingMode.NEAREST_UP:
+        return quotient + (remainder >= half)
+    round_up = (remainder > half) | ((remainder == half) & ((quotient & 1) == 1))
+    return quotient + round_up
+
+
+def _split_doubles(values: np.ndarray):
+    """Exact ``(mantissa, exponent, invalid)`` decomposition of doubles.
+
+    Every finite non-negative entry equals ``mantissa · 2^(exponent-53)``
+    with a 53-bit int64 ``mantissa`` (``frexp`` normalizes subnormals);
+    zeros, ``-0.0`` included, give mantissa 0. ``invalid`` marks the
+    negative and non-finite entries that
+    :func:`repro.arith.rounding.float_to_scaled_integer` rejects; they
+    decompose as zero so no cast warns.
+    """
+    invalid = ~np.isfinite(values) | (values < 0.0)
+    fraction, exponent = np.frexp(np.where(invalid, 0.0, values))
+    mantissa = np.ldexp(fraction, 53).astype(np.int64)
+    return mantissa, exponent.astype(np.int64), invalid
+
+
+def _first_offender(values: np.ndarray, bad: np.ndarray) -> tuple[int, float]:
+    """Row-major index and value of the first flagged entry."""
+    index = int(np.flatnonzero(bad)[0])
+    return index, float(values.flat[index])
+
+
+def _invalid_real(value: float) -> ValueError:
+    return ValueError(f"expected a non-negative finite float, got {value!r}")
+
+
+# ----------------------------------------------------------------------
 # Vectorized fixed point
 # ----------------------------------------------------------------------
 class FixedWordKernel:
@@ -411,29 +459,37 @@ class FixedWordKernel:
 
     def encode_params(self, values: Sequence[float]) -> np.ndarray:
         """Quantize real parameter values to int64 mantissa words."""
-        backend = FixedPointBackend(self.fmt)
-        return np.asarray(
-            [backend.from_real(float(v)).mantissa for v in values],
-            dtype=np.int64,
-        )
+        return self.encode_param_matrix(np.asarray(values)[None])[:, 0]
 
     def encode_param_matrix(self, theta: np.ndarray) -> np.ndarray:
-        """Quantize an ``(n_theta, n_params)`` θ batch, one row at a time.
+        """Quantize an ``(n_theta, n_params)`` θ batch in whole-array ops.
 
         Returns the lane-major ``(n_params, n_theta)`` int64 word matrix
-        the executors seed their parameter slots from — each row of the
-        batch quantized exactly like :meth:`encode_params` quantizes the
-        static table, so per-row sweeps stay bit-identical to a
-        re-quantized scalar run.
+        the executors seed their parameter slots from. Every entry is
+        bit-identical to :meth:`FixedPointBackend.from_real` (eq. 2), and
+        the first offending entry in row-major order raises that
+        method's exception type and message.
         """
-        backend = FixedPointBackend(self.fmt)
-        words = np.asarray(
-            [
-                [backend.from_real(float(v)).mantissa for v in row]
-                for row in np.asarray(theta, dtype=np.float64)
-            ],
-            dtype=np.int64,
-        )
+        values = np.asarray(theta, dtype=np.float64)
+        mantissa, exponent, invalid = _split_doubles(values)
+        # value · 2^F == mantissa / 2^shift. A left shift (shift ≤ 0)
+        # keeps the 53-bit mantissa, far above every int64 format's
+        # max_mantissa (< 2^31), so clipping to 0 still flags the
+        # overflow before any shift happens. Any right shift of 54 or
+        # more rounds a 53-bit mantissa to 0 in every mode, so clipping
+        # to 54 is exact too.
+        shift = np.clip(53 - self.fmt.fraction_bits - exponent, 0, 54)
+        words = _round_shift_words(mantissa, shift, self.fmt.rounding)
+        overflow = words > self.max_mantissa
+        bad = invalid | overflow
+        if bad.any():
+            index, value = _first_offender(values, bad)
+            if invalid.flat[index]:
+                raise _invalid_real(value)
+            raise FixedPointOverflowError(
+                f"value {value!r} exceeds range of {self.fmt.describe()}; "
+                f"increase integer bits"
+            )
         return np.ascontiguousarray(words.T)
 
     def round_products(self, products: np.ndarray) -> np.ndarray:
@@ -689,60 +745,57 @@ class FloatWordKernel:
         self, values: Sequence[float]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Quantize real parameter values to (mantissa, exponent) arrays."""
-        backend = FloatBackend(self.fmt)
-        params = [backend.from_real(float(v)) for v in values]
-        return (
-            np.asarray([p.mantissa for p in params], dtype=np.int64),
-            np.asarray([p.exponent for p in params], dtype=np.int64),
+        mantissas, exponents = self.encode_param_matrix(
+            np.asarray(values)[None]
         )
+        return mantissas[:, 0], exponents[:, 0]
 
     def encode_param_matrix(
         self, theta: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Quantize an ``(n_theta, n_params)`` θ batch, one row at a time.
+        """Quantize an ``(n_theta, n_params)`` θ batch in whole-array ops.
 
         Returns lane-major ``(n_params, n_theta)`` int64 ``(m, e)`` word
         matrices — the ``param_words`` the executors seed their
-        parameter slots from, each row quantized exactly like
-        :meth:`encode_params` quantizes the static table, so per-lane
-        sweeps stay bit-identical to a re-quantized scalar run.
+        parameter slots from. Every entry is bit-identical to
+        :meth:`FloatBackend.from_real` (eq. 6), and the first offending
+        entry in row-major order raises that method's exception type
+        and message.
         """
-        backend = FloatBackend(self.fmt)
-        rows = [
-            [backend.from_real(float(v)) for v in row]
-            for row in np.asarray(theta, dtype=np.float64)
-        ]
-        mantissas = np.asarray(
-            [[p.mantissa for p in row] for row in rows], dtype=np.int64
-        )
-        exponents = np.asarray(
-            [[p.exponent for p in row] for row in rows], dtype=np.int64
-        )
-        return (
-            np.ascontiguousarray(mantissas.T),
-            np.ascontiguousarray(exponents.T),
-        )
+        fmt = self.fmt
+        values = np.asarray(theta, dtype=np.float64)
+        mantissa, exponent, invalid = _split_doubles(values)
+        # Rounding the 53-bit mantissa to M+1 bits is one constant
+        # right shift (M ≤ 30); a carry into bit M+1 leaves a power of
+        # two, so halving it is exact.
+        target = fmt.mantissa_bits + 1
+        rounded = _round_shift_words(mantissa, 53 - target, fmt.rounding)
+        carry = rounded >> target
+        rounded >>= carry
+        # value == rounded · 2^(exponent - 1 + carry - M); zeros keep the
+        # scalar backend's (0, 0) pair, and exponent 0 is always in range.
+        exponent = np.where(mantissa == 0, 0, exponent - 1 + carry)
+        overflow = exponent > fmt.max_exponent
+        underflow = exponent < fmt.min_exponent
+        bad = invalid | overflow | underflow
+        if bad.any():
+            index, value = _first_offender(values, bad)
+            if invalid.flat[index]:
+                raise _invalid_real(value)
+            found = int(exponent.flat[index])
+            if overflow.flat[index]:
+                raise FloatOverflowError(
+                    f"overflow in {fmt.describe()}: exponent {found} > "
+                    f"{fmt.max_exponent}; increase exponent bits"
+                )
+            raise FloatUnderflowError(
+                f"underflow in {fmt.describe()}: exponent {found} < "
+                f"{fmt.min_exponent}; min-value analysis should pick E "
+                f"large enough"
+            )
+        return np.ascontiguousarray(rounded.T), np.ascontiguousarray(exponent.T)
 
     # -- rounding core --------------------------------------------------
-    def _round_shift(
-        self, value: np.ndarray, shift: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :func:`repro.arith.rounding.round_shift`, shift ≥ 0."""
-        quotient = value >> shift
-        mode = self.fmt.rounding
-        if mode is RoundingMode.TRUNCATE:
-            return quotient
-        remainder = value - (quotient << shift)
-        # For shift == 0 lanes remainder is 0, so the (arbitrary) half
-        # value never triggers a round-up there.
-        half = np.int64(1) << (np.maximum(shift, 1) - 1)
-        if mode is RoundingMode.NEAREST_UP:
-            return quotient + (remainder >= half)
-        round_up = (remainder > half) | (
-            (remainder == half) & ((quotient & 1) == 1)
-        )
-        return quotient + round_up
-
     def _normalize(
         self,
         value: np.ndarray,
@@ -762,7 +815,7 @@ class FloatWordKernel:
         target = mantissa_bits + 1
         carry = value >= (np.int64(1) << (target + excess_no_carry))
         shift = excess_no_carry + carry
-        rounded = self._round_shift(value, shift)
+        rounded = _round_shift_words(value, shift, self.fmt.rounding)
         scale = scale + shift
         # Rounding may carry into a new MSB (all-ones mantissa); the
         # result is then a power of two, so halving is exact.

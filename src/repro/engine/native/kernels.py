@@ -166,10 +166,6 @@ class NativeTapeKernels:
             return fmt.fits_int64_products
         return False
 
-    def supports_theta(self) -> bool:
-        """True: v2 modules read parameters from runtime pointers."""
-        return True
-
     def encode_theta(self, fmt: Any, matrix: np.ndarray):
         """Per-row quantized, lane-major parameter words for a θ batch.
 

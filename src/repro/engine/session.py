@@ -67,7 +67,7 @@ _DISPATCH_TOTAL = REGISTRY.counter(
 _FALLBACK_TOTAL = REGISTRY.counter(
     "problp_backend_fallback_total",
     "Dispatches that left native despite it being requested, by short "
-    "reason code (toolchain, wide_format, legacy_module).",
+    "reason code (toolchain, wide_format).",
     labelnames=("reason",),
 )
 
@@ -206,7 +206,7 @@ class InferenceSession:
             return state.reason
         return self._last_fallback_reason
 
-    def _route(self, fmt: AnyFormat | None = None, theta: bool = False):
+    def _route(self, fmt: AnyFormat | None = None):
         """``(native_kernels | None, reason | None, code | None)``.
 
         Pure lookup — no state is mutated, so the serve layer can use it
@@ -226,18 +226,11 @@ class InferenceSession:
                 f"{fmt.describe()} is outside the native kernels' int64 "
                 f"word range; served by the numpy/big-int executors"
             ), "wide_format"
-        if theta and not state.kernels.supports_theta():
-            return None, (
-                "this native module predates runtime-parameter kernels; "
-                "theta batches run on the numpy executors"
-            ), "legacy_module"
         return state.kernels, None, None
 
-    def _dispatch(
-        self, fmt: AnyFormat | None = None, theta: bool = False
-    ):
+    def _dispatch(self, fmt: AnyFormat | None = None):
         """Route one call, recording the fallback reason (or clearing it)."""
-        native, reason, code = self._route(fmt=fmt, theta=theta)
+        native, reason, code = self._route(fmt=fmt)
         self._last_fallback_reason = reason
         _DISPATCH_TOTAL.labels("native" if native is not None
                                else "numpy").inc()
@@ -245,15 +238,13 @@ class InferenceSession:
             _FALLBACK_TOTAL.labels(code).inc()
         return native
 
-    def dispatch_plan(
-        self, fmt: AnyFormat | None = None, theta: bool = False
-    ) -> tuple[str, str | None]:
+    def dispatch_plan(self, fmt: AnyFormat | None = None) -> tuple[str, str | None]:
         """``(backend, fallback_reason)`` a call with these traits gets.
 
         Side-effect free — the serve layer reports per-request backends
         from this without racing concurrent dispatches.
         """
-        native, reason, _ = self._route(fmt=fmt, theta=theta)
+        native, reason, _ = self._route(fmt=fmt)
         return ("native" if native is not None else "numpy"), reason
 
     def fallback_note(self) -> str | None:
@@ -323,7 +314,7 @@ class InferenceSession:
                 self.tape, theta, evidence_batch
             )
             param_matrix = theta_param_matrix(matrix)
-            native = self._dispatch(theta=True)
+            native = self._dispatch()
             if native is not None:
                 return native.evaluate_batch(
                     evidence_batch, strict=strict, param_matrix=param_matrix
@@ -360,7 +351,7 @@ class InferenceSession:
         matrix = normalize_theta(self.tape, theta)
         evidence_batch = [evidence or {}] * matrix.shape[0]
         param_matrix = theta_param_matrix(matrix)
-        native = self._dispatch(theta=True)
+        native = self._dispatch()
         if native is not None:
             return native.evaluate_batch(
                 evidence_batch, strict=strict, param_matrix=param_matrix
@@ -408,7 +399,7 @@ class InferenceSession:
                 self.tape, theta, evidence_batch
             )
             param_matrix = theta_param_matrix(matrix)
-            native = self._dispatch(theta=True)
+            native = self._dispatch()
             if native is not None:
                 return native.partials_batch(
                     evidence_batch, strict=strict, param_matrix=param_matrix
@@ -523,7 +514,7 @@ class InferenceSession:
             evidence_batch, matrix = align_theta(
                 self.tape, theta, evidence_batch
             )
-            native = self._dispatch(fmt=fmt, theta=True)
+            native = self._dispatch(fmt=fmt)
             if native is not None:
                 _, partials = native.quantized_partials_batch(
                     fmt,
@@ -637,7 +628,7 @@ class InferenceSession:
             evidence_batch, matrix = align_theta(
                 self.tape, theta, evidence_batch
             )
-            native = self._dispatch(fmt=fmt, theta=True)
+            native = self._dispatch(fmt=fmt)
             if native is not None:
                 return native.evaluate_quantized_batch(
                     fmt,

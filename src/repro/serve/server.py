@@ -556,11 +556,10 @@ class ProbLPServer:
         evidence_rows: list = []
         for request in requests:
             evidence_rows.extend([request.evidence] * len(request.theta))
-        # θ sweeps ride the runtime-parameter kernel entry points when
-        # the native module supports them; the side-effect-free planner
-        # tells us which backend this bucket actually lands on (and why
-        # not native, when it doesn't).
-        backend, fallback = session.dispatch_plan(fmt=key.fmt, theta=True)
+        # θ sweeps ride the runtime-parameter kernel entry points; the
+        # side-effect-free planner tells us which backend this bucket
+        # actually lands on (and why not native, when it doesn't).
+        backend, fallback = session.dispatch_plan(fmt=key.fmt)
         exact = session.evaluate_batch(evidence_rows, strict=True, theta=theta)
         quantized = (
             session.evaluate_quantized_batch(

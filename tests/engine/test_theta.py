@@ -234,9 +234,8 @@ class TestPerRowZeroEvidence:
 
 
 class TestNativeInterplay:
-    """θ batches ride the runtime-parameter C kernels (PR 8): native
-    sessions serve them bit-identically with no fallback recorded, and
-    modules predating runtime parameters still degrade with a reason."""
+    """θ batches ride the runtime-parameter C kernels: native sessions
+    serve them bit-identically with no fallback recorded."""
 
     @pytest.mark.skipif(
         not native_available(), reason="native toolchain unavailable"
@@ -251,30 +250,6 @@ class TestNativeInterplay:
         got = session.evaluate_theta_batch(theta, {"Rain": 1})
         want = oracle.evaluate_theta_batch(theta, {"Rain": 1})
         assert (got == want).all()
-        assert session.backend == "native"
-        assert session.backend_fallback_reason is None
-
-    @pytest.mark.skipif(
-        not native_available(), reason="native toolchain unavailable"
-    )
-    def test_legacy_module_without_theta_support_falls_back(
-        self, sprinkler_binary, monkeypatch
-    ):
-        session = InferenceSession(sprinkler_binary, backend="native")
-        assert session.backend == "native"
-        monkeypatch.setattr(session._native, "supports_theta", lambda: False)
-        oracle = InferenceSession(sprinkler_binary, backend="numpy")
-        theta = theta_batch(oracle, 3, seed=13)
-        got = session.evaluate_theta_batch(theta)
-        want = oracle.evaluate_theta_batch(theta)
-        assert (got == want).all()
-        reason = session.backend_fallback_reason
-        assert reason is not None and "theta" in reason
-        # ...yet native keeps serving plain calls, clearing the reason.
-        batch = [{"Rain": 1}, {}]
-        assert (
-            session.evaluate_batch(batch) == oracle.evaluate_batch(batch)
-        ).all()
         assert session.backend == "native"
         assert session.backend_fallback_reason is None
 

@@ -121,7 +121,7 @@ class TestServedThetaBatch:
         # θ buckets report whichever backend the session's dispatch
         # planner actually routes them to — native when the runtime-
         # parameter kernels are available, numpy otherwise.
-        expected_backend, _ = session.dispatch_plan(fmt=FIXED, theta=True)
+        expected_backend, _ = session.dispatch_plan(fmt=FIXED)
         assert result["backend"] == expected_backend
         assert "fallback_reason" not in result or result["backend"] == "numpy"
 
