@@ -95,24 +95,25 @@ def test_perf_hardware_simulation_throughput(
     assert len(outputs) == 10
 
 
-def test_perf_program_evaluator(benchmark, alarm_binary, alarm_evidence):
-    from repro.ac.fastpath import Program
+def test_perf_quantized_tape_evaluator(
+    benchmark, alarm_binary, alarm_evidence
+):
+    from repro.engine import QuantizedTapeEvaluator, tape_for
 
-    program = Program(alarm_binary)
+    evaluator = QuantizedTapeEvaluator(tape_for(alarm_binary))
     backend = FixedPointBackend(FixedPointFormat(1, 15))
-    value = benchmark(program.evaluate, backend, alarm_evidence)
+    value = benchmark(evaluator.evaluate, backend, alarm_evidence)
     assert 0.0 <= value <= 1.0
 
 
 def test_perf_vectorized_fixed_batch_100(benchmark, alarm, alarm_binary):
-    from repro.ac.fastpath import VectorFixedPointEvaluator
-    from repro.experiments.validation import alarm_marginal_evidences
+    from repro.engine import InferenceSession
 
-    evaluator = VectorFixedPointEvaluator(
-        alarm_binary, FixedPointFormat(1, 15)
-    )
+    # The numpy int64 executor, not the native kernels.
+    session = InferenceSession(alarm_binary, backend="numpy")
+    fmt = FixedPointFormat(1, 15)
     evidences = alarm_marginal_evidences(alarm, 100, seed=6)
-    values = benchmark(evaluator.evaluate_batch, evidences)
+    values = benchmark(session.evaluate_quantized_batch, fmt, evidences)
     assert values.shape == (100,)
 
 

@@ -23,7 +23,6 @@ from .evaluate import (
     evaluate_real,
     evaluate_values,
 )
-from .fastpath import Program, VectorFixedPointEvaluator
 from .io import circuit_from_dict, circuit_to_dict, load_circuit, save_circuit
 from .nodes import HARDWARE_OPS, Node, OpType
 from .transform import TransformResult, binarize, prune_unreachable
@@ -42,10 +41,8 @@ __all__ = [
     "HARDWARE_OPS",
     "Node",
     "OpType",
-    "Program",
     "QuantizedBackend",
     "TransformResult",
-    "VectorFixedPointEvaluator",
     "ZeroEvidenceError",
     "binarize",
     "circuit_from_dict",

@@ -15,8 +15,8 @@ compiled caches for serving repeated queries.
 
 Layering: ``engine`` sits above ``ac`` (circuit structure) and ``arith``
 (exact number systems) and below ``core`` / ``experiments`` / ``hw``.
-The legacy entry points (``repro.ac.evaluate``, ``repro.ac.fastpath``)
-remain as thin wrappers; the frozen seed implementations live in
+The legacy entry points in ``repro.ac.evaluate`` remain as thin
+wrappers; the frozen seed implementations live in
 :mod:`repro.engine.reference` for differential testing.
 """
 

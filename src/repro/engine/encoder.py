@@ -3,8 +3,8 @@
 Every evaluator needs the same preprocessing step: turn an evidence
 assignment (or a whole batch of them) into the 0/1 values of the λ
 leaves. The seed implementations each re-derived it with an
-O(batch × indicators) pure-Python double loop (``evaluate_batch``,
-``VectorFixedPointEvaluator``) or a per-query dict
+O(batch × indicators) pure-Python double loop (``evaluate_batch``)
+or a per-query dict
 (``indicator_assignment``). :class:`EvidenceEncoder` does it once,
 vectorized per *variable*: one ``np.fromiter`` gather of the observed
 states plus one broadcast comparison yields the whole

@@ -8,8 +8,7 @@ All executors replay the same :class:`~repro.engine.tape.Tape`:
   vector op per tape op (bit-identical to the scalar pass, since both
   fold left-to-right in IEEE doubles);
 * :class:`QuantizedTapeEvaluator` — scalar sweep with any
-  :class:`~repro.ac.evaluate.QuantizedBackend` (the tape-backed
-  replacement for the legacy ``fastpath.Program`` inner loop);
+  :class:`~repro.ac.evaluate.QuantizedBackend`;
 * :class:`FixedPointBatchExecutor` — exact int64-mantissa fixed point
   over a batch, bit-identical to
   :class:`~repro.arith.fixedpoint.FixedPointBackend`;

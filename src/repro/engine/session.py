@@ -41,6 +41,7 @@ from .executors import (
     FixedPointBatchExecutor,
     FloatBatchExecutor,
     QuantizedTapeEvaluator,
+    _require_binary_tape,
     execute_batch,
     execute_partials,
     execute_partials_batch,
@@ -214,8 +215,11 @@ class InferenceSession:
         methods record the returned reason on
         :attr:`backend_fallback_reason` themselves. ``code`` is the
         short label for ``problp_backend_fallback_total{reason=…}`` —
-        the prose ``reason`` would explode label cardinality.
+        the prose ``reason`` would explode label cardinality. A format
+        on a non-binary tape is rejected here, before any counter moves.
         """
+        if fmt is not None:
+            _require_binary_tape(self.tape)
         if self._requested_backend == "numpy":
             return None, None, None
         state = self._singletons.get("native_state", self._resolve_native)
@@ -274,6 +278,15 @@ class InferenceSession:
         """
         return tape_analysis_for(self.tape)
 
+    def _align(
+        self, evidence_batch: Sequence[Mapping[str, int]], theta: Any | None
+    ) -> tuple[Sequence[Mapping[str, int]], np.ndarray | None]:
+        """``(evidence_rows, θ matrix | None)``: the θ zip, or pass-through
+        (every backend reads ``None`` as the tape's own parameter table)."""
+        if theta is None:
+            return evidence_batch, None
+        return align_theta(self.tape, theta, evidence_batch)
+
     # -- exact float64 --------------------------------------------------
     def evaluate(self, evidence: Mapping[str, int] | None = None) -> float:
         """Exact float64 root value for one evidence assignment."""
@@ -309,28 +322,19 @@ class InferenceSession:
         runtime-parameter entry points under ``auto``/``native`` (see
         :attr:`backend_fallback_reason`).
         """
-        if theta is not None:
-            evidence_batch, matrix = align_theta(
-                self.tape, theta, evidence_batch
-            )
-            param_matrix = theta_param_matrix(matrix)
-            native = self._dispatch()
-            if native is not None:
-                return native.evaluate_batch(
-                    evidence_batch, strict=strict, param_matrix=param_matrix
-                )
-            return execute_batch(
-                self.tape,
-                evidence_batch,
-                self.encoder,
-                strict=strict,
-                param_matrix=param_matrix,
-            )
+        evidence_batch, matrix = self._align(evidence_batch, theta)
+        param_matrix = None if matrix is None else theta_param_matrix(matrix)
         native = self._dispatch()
         if native is not None:
-            return native.evaluate_batch(evidence_batch, strict=strict)
+            return native.evaluate_batch(
+                evidence_batch, strict=strict, param_matrix=param_matrix
+            )
         return execute_batch(
-            self.tape, evidence_batch, self.encoder, strict=strict
+            self.tape,
+            evidence_batch,
+            self.encoder,
+            strict=strict,
+            param_matrix=param_matrix,
         )
 
     def evaluate_theta_batch(
@@ -349,19 +353,8 @@ class InferenceSession:
         either backend.
         """
         matrix = normalize_theta(self.tape, theta)
-        evidence_batch = [evidence or {}] * matrix.shape[0]
-        param_matrix = theta_param_matrix(matrix)
-        native = self._dispatch()
-        if native is not None:
-            return native.evaluate_batch(
-                evidence_batch, strict=strict, param_matrix=param_matrix
-            )
-        return execute_batch(
-            self.tape,
-            evidence_batch,
-            self.encoder,
-            strict=strict,
-            param_matrix=param_matrix,
+        return self.evaluate_batch(
+            [evidence or {}] * matrix.shape[0], strict=strict, theta=matrix
         )
 
     # -- marginals (backward sweep) -------------------------------------
@@ -394,28 +387,19 @@ class InferenceSession:
         :meth:`evaluate_batch`): both the forward values and the
         backward partials are computed per lane under that lane's θ row.
         """
-        if theta is not None:
-            evidence_batch, matrix = align_theta(
-                self.tape, theta, evidence_batch
-            )
-            param_matrix = theta_param_matrix(matrix)
-            native = self._dispatch()
-            if native is not None:
-                return native.partials_batch(
-                    evidence_batch, strict=strict, param_matrix=param_matrix
-                )
-            return execute_partials_batch(
-                self.tape,
-                evidence_batch,
-                self.encoder,
-                strict=strict,
-                param_matrix=param_matrix,
-            )
+        evidence_batch, matrix = self._align(evidence_batch, theta)
+        param_matrix = None if matrix is None else theta_param_matrix(matrix)
         native = self._dispatch()
         if native is not None:
-            return native.partials_batch(evidence_batch, strict=strict)
+            return native.partials_batch(
+                evidence_batch, strict=strict, param_matrix=param_matrix
+            )
         return execute_partials_batch(
-            self.tape, evidence_batch, self.encoder, strict=strict
+            self.tape,
+            evidence_batch,
+            self.encoder,
+            strict=strict,
+            param_matrix=param_matrix,
         )
 
     def marginals(
@@ -489,8 +473,9 @@ class InferenceSession:
         division and returns the quantized joints. ``theta`` zips an
         ``(n_theta, n_params)`` parameter batch against the evidence
         batch — each lane quantizes *its own* parameter table (per-row
-        quantized tables on the vectorized fixed-point path, per-row
-        scalar re-quantization otherwise).
+        quantized word tables on the native and vectorized fixed- and
+        floating-point paths, per-row scalar re-quantization on the
+        wide-format big-int path).
         """
         quantized_partials = self._quantized_partials_matrix(
             fmt, evidence_batch, strict, theta=theta
@@ -510,60 +495,31 @@ class InferenceSession:
         theta: Any | None = None,
     ) -> np.ndarray:
         """Float64 matrix of quantized partials, ``(num_nodes, batch)``."""
-        if theta is not None:
-            evidence_batch, matrix = align_theta(
-                self.tape, theta, evidence_batch
-            )
-            native = self._dispatch(fmt=fmt)
-            if native is not None:
-                _, partials = native.quantized_partials_batch(
-                    fmt,
-                    evidence_batch,
-                    strict=strict,
-                    param_words=native.encode_theta(fmt, matrix),
-                )
-                return partials
-            if self.supports_vectorized(fmt):
-                executor = self._vector_executor(fmt)
-                _, partials = executor.partials_batch(
-                    evidence_batch,
-                    strict=strict,
-                    param_words=executor.encode_theta(matrix),
-                )
-                return partials
-            backend = self._backend(fmt)
-            evaluator = self._scalar_quantized
-            columns = []
-            for evidence, row in zip(evidence_batch, matrix):
-                _, adjoints = evaluator.partials(
-                    backend, evidence, strict=strict, param_values=row
-                )
-                columns.append(
-                    [backend.to_real(value) for value in adjoints]
-                )
-            if not columns:
-                return np.empty((self.tape.num_nodes, 0))
-            return np.asarray(columns).T
+        evidence_batch, matrix = self._align(evidence_batch, theta)
         native = self._dispatch(fmt=fmt)
         if native is not None:
+            words = None if matrix is None else native.encode_theta(fmt, matrix)
             _, partials = native.quantized_partials_batch(
-                fmt, evidence_batch, strict=strict
+                fmt, evidence_batch, strict=strict, param_words=words
             )
             return partials
         if self.supports_vectorized(fmt):
-            _, partials = self._vector_executor(fmt).partials_batch(
-                evidence_batch, strict=strict
+            executor = self._vector_executor(fmt)
+            words = None if matrix is None else executor.encode_theta(matrix)
+            _, partials = executor.partials_batch(
+                evidence_batch, strict=strict, param_words=words
             )
             return partials
         backend = self._backend(fmt)
         evaluator = self._scalar_quantized
-        columns = []
-        for evidence in evidence_batch:
-            _, adjoints = evaluator.partials(backend, evidence, strict=strict)
-            columns.append([backend.to_real(value) for value in adjoints])
-        if not columns:
-            return np.empty((self.tape.num_nodes, 0))
-        return np.asarray(columns).T
+        rows = [None] * len(evidence_batch) if matrix is None else matrix
+        partials = np.empty((self.tape.num_nodes, len(evidence_batch)))
+        for lane, (evidence, row) in enumerate(zip(evidence_batch, rows)):
+            _, adjoints = evaluator.partials(
+                backend, evidence, strict=strict, param_values=row
+            )
+            partials[:, lane] = [backend.to_real(value) for value in adjoints]
+        return partials
 
     # -- quantized ------------------------------------------------------
     def supports_vectorized(self, fmt: AnyFormat) -> bool:
@@ -624,51 +580,28 @@ class InferenceSession:
         (:func:`repro.engine.reference.reference_theta_fixed_words`,
         :func:`repro.engine.reference.reference_theta_float_words`).
         """
-        if theta is not None:
-            evidence_batch, matrix = align_theta(
-                self.tape, theta, evidence_batch
-            )
-            native = self._dispatch(fmt=fmt)
-            if native is not None:
-                return native.evaluate_quantized_batch(
-                    fmt,
-                    evidence_batch,
-                    strict=strict,
-                    param_words=native.encode_theta(fmt, matrix),
-                )
-            if self.supports_vectorized(fmt):
-                executor = self._vector_executor(fmt)
-                return executor.evaluate_batch(
-                    evidence_batch,
-                    strict=strict,
-                    param_words=executor.encode_theta(matrix),
-                )
-            backend = self._backend(fmt)
-            evaluator = self._scalar_quantized
-            return np.asarray(
-                [
-                    evaluator.evaluate(
-                        backend, evidence, strict=strict, param_values=row
-                    )
-                    for evidence, row in zip(evidence_batch, matrix)
-                ]
-            )
+        evidence_batch, matrix = self._align(evidence_batch, theta)
         native = self._dispatch(fmt=fmt)
         if native is not None:
+            words = None if matrix is None else native.encode_theta(fmt, matrix)
             return native.evaluate_quantized_batch(
-                fmt, evidence_batch, strict=strict
+                fmt, evidence_batch, strict=strict, param_words=words
             )
         if self.supports_vectorized(fmt):
-            return self._vector_executor(fmt).evaluate_batch(
-                evidence_batch, strict=strict
+            executor = self._vector_executor(fmt)
+            words = None if matrix is None else executor.encode_theta(matrix)
+            return executor.evaluate_batch(
+                evidence_batch, strict=strict, param_words=words
             )
         backend = self._backend(fmt)
+        evaluator = self._scalar_quantized
+        rows = [None] * len(evidence_batch) if matrix is None else matrix
         return np.asarray(
             [
-                self._scalar_quantized.evaluate(
-                    backend, evidence, strict=strict
+                evaluator.evaluate(
+                    backend, evidence, strict=strict, param_values=row
                 )
-                for evidence in evidence_batch
+                for evidence, row in zip(evidence_batch, rows)
             ]
         )
 

@@ -38,8 +38,7 @@ from ..ac.circuit import ArithmeticCircuit
 from ..ac.nodes import OpType
 from .memo import KeyedMemo
 
-# Opcodes of tape operations. SUM/PRODUCT/MAX intentionally match the
-# legacy repro.ac.fastpath values; COPY forwards a slot unchanged (only
+# Opcodes of tape operations. COPY forwards a slot unchanged (only
 # emitted for degenerate fan-in-1 operators, which the circuit builder
 # itself never produces).
 OP_SUM, OP_PRODUCT, OP_MAX, OP_COPY = 0, 1, 2, 3

@@ -152,9 +152,8 @@ class ShardRouter:
     ``circuits`` by fanning out to one replica per shard, ``reload`` by
     updating the routing table and every replica of the affected shards.
 
-    ``shard_addresses`` accepts one address *group* (list of
-    ``(host, port)``) per shard; a flat list of plain addresses is
-    understood as single-replica groups for backward compatibility.
+    ``shard_addresses`` holds one address *group* (list of
+    ``(host, port)``) per shard.
     """
 
     def __init__(
@@ -169,8 +168,6 @@ class ShardRouter:
     ) -> None:
         self._address_groups = [
             [tuple(address) for address in group]
-            if not _is_address(group)
-            else [tuple(group)]
             for group in shard_addresses
         ]
         self._table = dict(table)
@@ -776,16 +773,6 @@ class ShardRouter:
                 "circuits": len(self._table),
             },
         )
-
-
-def _is_address(group: Any) -> bool:
-    """True for one plain ``(host, port)`` pair (legacy flat layout)."""
-    return (
-        isinstance(group, (tuple, list))
-        and len(group) == 2
-        and isinstance(group[0], str)
-        and isinstance(group[1], int)
-    )
 
 
 class ShardedServer:

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from repro.ac.evaluate import evaluate_quantized, evaluate_real
-from repro.ac.fastpath import VectorFixedPointEvaluator
 from repro.arith import (
     FixedPointBackend,
     FixedPointFormat,
+    FixedPointOverflowError,
     FloatFormat,
 )
 from repro.core import ErrorTolerance, ProbLP, QueryType
-from repro.engine import InferenceSession, session_for, tape_for
+from repro.engine import (
+    FixedPointBatchExecutor,
+    InferenceSession,
+    session_for,
+    tape_for,
+)
 from tests.conftest import all_evidence_combinations
 
 
@@ -161,26 +166,58 @@ class TestFrameworkIntegration:
         assert np.abs(exact - batch).max() <= result.selected.query_bound
 
 
-class TestLegacyWrappers:
-    def test_vector_evaluator_accepts_f0(self, sprinkler, sprinkler_binary):
-        """Satellite regression: F=0 raised ValueError (1 << -1) in the
-        pre-engine VectorFixedPointEvaluator._round_products."""
+class TestVectorizedFixedPoint:
+    """The int64 fixed-point arm behind evaluate_quantized_batch."""
+
+    def test_f0_format_bit_exact(self, sprinkler, sprinkler_binary):
+        """F=0 raised ValueError (1 << -1) in the pre-engine int64
+        evaluator's product rounding."""
         fmt = FixedPointFormat(4, 0)
-        evaluator = VectorFixedPointEvaluator(sprinkler_binary, fmt)
+        session = InferenceSession(sprinkler_binary, backend="numpy")
         backend = FixedPointBackend(fmt)
         evidences = all_evidence_combinations(sprinkler)
-        values = evaluator.evaluate_batch(evidences)
+        values = session.evaluate_quantized_batch(fmt, evidences)
         for evidence, value in zip(evidences, values):
             assert value == evaluate_quantized(
                 sprinkler_binary, backend, evidence
             )
 
-    def test_program_exposes_legacy_introspection(self, sprinkler_binary):
-        from repro.ac.fastpath import Program
+    def test_alarm_batch_and_scalar_bit_exact(self, alarm, alarm_binary):
+        from repro.bn.sampling import forward_sample
 
-        program = Program(sprinkler_binary)
-        assert program.num_slots == len(sprinkler_binary)
-        assert program.root == sprinkler_binary.root
-        assert len(program.operations) == program.tape.num_operations
-        slots = {slot for slot, _ in program.parameters}
-        assert slots == set(program.tape.param_slots.tolist())
+        fmt = FixedPointFormat(1, 15)
+        session = InferenceSession(alarm_binary, backend="numpy")
+        backend = FixedPointBackend(fmt)
+        leaves = alarm.leaves()
+        evidences = [
+            {leaf: s[leaf] for leaf in leaves}
+            for s in forward_sample(alarm, 10, rng=31)
+        ]
+        batch = session.evaluate_quantized_batch(fmt, evidences)
+        for evidence, value in zip(evidences, batch):
+            reference = evaluate_quantized(alarm_binary, backend, evidence)
+            assert value == reference
+            assert session.evaluate_quantized(backend, evidence) == reference
+
+    def test_wide_format_rejected(self, sprinkler_binary):
+        with pytest.raises(ValueError, match="int64"):
+            FixedPointBatchExecutor(
+                tape_for(sprinkler_binary), FixedPointFormat(1, 40)
+            )
+
+    def test_overflow_detected(self):
+        from repro.ac.circuit import ArithmeticCircuit
+        from repro.ac.transform import binarize
+
+        circuit = ArithmeticCircuit(dedup=False)
+        leaves = [circuit.add_indicator("X", i) for i in range(4)]
+        circuit.set_root(circuit.add_sum(leaves))
+        binary = binarize(circuit).circuit
+        session = InferenceSession(binary, backend="numpy")
+        with pytest.raises(FixedPointOverflowError):
+            session.evaluate_quantized_batch(FixedPointFormat(1, 8), [{}])
+
+    def test_empty_batch(self, sprinkler_binary):
+        session = InferenceSession(sprinkler_binary, backend="numpy")
+        values = session.evaluate_quantized_batch(FixedPointFormat(1, 12), [])
+        assert values.shape == (0,)
