@@ -385,7 +385,8 @@ class TestObsOverhead:
 
     The metric hot path is a per-thread ``cell.value += n`` and a span is
     four integer reads of ``monotonic_ns`` — both should vanish inside a
-    served request. Measured end to end: served p50 for ``eval`` and
+    served request. ``set_enabled`` switches the engine series and the
+    server's own ``problp_serve_*`` / ``problp_batch_*`` series together. Measured end to end: served p50 for ``eval`` and
     ``theta_batch`` with the registry enabled vs ``set_enabled(False)``,
     rounds *interleaved* (en, dis, en, dis, …) so drift on a shared CI
     core hits both sides equally. Gate: instrumented p50 within 5% of

@@ -422,7 +422,7 @@ class InferenceSession:
             # kernel's 1-D partials vector directly.
             _, partials = native.partials_arrays(evidence)
         else:
-            _, partials = self.partials(evidence)
+            _, partials = execute_partials(self.tape, evidence, self.encoder)
         index = self.marginal_index
         if joint:
             return index.joints(partials)

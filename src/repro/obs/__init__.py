@@ -6,7 +6,8 @@ Three stdlib-only layers (PR 10):
   of counters/gauges/histograms with exact, lock-free hot-path bumps
   (per-thread cells; snapshot-time math only) and a Prometheus text
   renderer.  The engine (memo caches, native builds, backend dispatch)
-  and the serve layer both register here.
+  registers here; each server and sharding front keeps its series in a
+  registry of its own, plugged in here as a collector.
 * :mod:`repro.obs.tracing` — ``trace_id``/span context that rides the
   ndJSON protocol, microsecond monotonic timestamps, and the bounded
   span ring behind the slow-query log.
@@ -24,6 +25,7 @@ from repro.obs.metrics import (
     REGISTRY,
     enabled,
     get_registry,
+    histogram_quantile,
     merge_families,
     render_prometheus,
     set_enabled,
@@ -50,6 +52,7 @@ __all__ = [
     "Trace",
     "enabled",
     "get_registry",
+    "histogram_quantile",
     "merge_families",
     "new_trace_id",
     "now_us",

@@ -1,20 +1,22 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
-This is the metrics core of the observability subsystem (PR 10). The
-design follows ``serve/metrics.py``'s discipline — the hot path does
-only GIL-cheap work, all derived math happens at snapshot time — and
-extends it with one more trick so concurrent bumps stay *exact*:
+This is the one metrics system of the project: the engine and the serve
+layer both record here.  The hot path does only GIL-cheap work, all
+derived math (rates, means, quantiles) happens at snapshot time, and
+concurrent bumps stay *exact*:
 
 * Every counter/histogram child keeps one mutable cell **per thread**
   (``threading.local``).  A bump is an unshared ``cell.value += n`` —
   no lock, no contention, no lost updates — and a snapshot sums the
   cells.  Totals are therefore exact once the bumping threads are
   quiescent (the 12-thread hammer test pins this).
-* Gauges are last-write-wins (``set``) or computed at snapshot time
-  (``set_function``); they carry no per-thread state.
+* Gauges are last-write-wins (``set``, or ``inc``/``dec`` from a single
+  writer thread) or computed at snapshot time (``set_function``); they
+  carry no per-thread state.
 * Histograms use fixed upper bounds chosen at registration.  A bump
   is a ``bisect`` plus three cell increments; cumulative bucket counts
-  (the Prometheus convention) are computed only when snapshotting.
+  (the Prometheus convention) are computed only when snapshotting, and
+  :func:`histogram_quantile` estimates quantiles from them.
 
 Snapshots are plain JSON-safe dicts ("families") so they can ride the
 ndJSON serving protocol unchanged; :func:`render_prometheus` turns a
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 
 __all__ = [
     "METRICS_SCHEMA_VERSION",
@@ -37,6 +39,7 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "enabled",
+    "histogram_quantile",
     "merge_families",
     "render_prometheus",
     "set_enabled",
@@ -145,6 +148,15 @@ class _GaugeChild:
             return
         self._value = float(value)
 
+    def inc(self, amount=1):
+        """Add ``amount``; a read-modify-write, so one writer thread only."""
+        if not _ENABLED:
+            return
+        self._value += amount
+
+    def dec(self, amount=1):
+        self.inc(-amount)
+
     def set_function(self, fn):
         """Compute the gauge at snapshot time via ``fn()``."""
         self._fn = fn
@@ -193,14 +205,6 @@ class _HistogramChild(_Child):
             cumulative.append(running)
         return cumulative, total, count
 
-    @property
-    def count(self):
-        return self.snapshot()[2]
-
-    @property
-    def sum(self):
-        return self.snapshot()[1]
-
 
 class _Metric:
     """A named family: label names plus one child per label-value tuple."""
@@ -236,6 +240,14 @@ class _Metric:
                     self._children[values] = child
         return child
 
+    def _only_default(self):
+        if self._default is None:
+            raise ValueError(f"{self.name} requires .labels(...)")
+        return self._default
+
+    def _sample(self, labels, child):
+        return {"labels": labels, "value": child.value}
+
     def _items(self):
         if self._default is not None:
             return [((), self._default)]
@@ -262,9 +274,6 @@ class Counter(_Metric):
     def _make_child(self):
         return _CounterChild()
 
-    def _sample(self, labels, child):
-        return {"labels": labels, "value": child.value}
-
     def inc(self, amount=1):
         self._only_default().inc(amount)
 
@@ -272,20 +281,12 @@ class Counter(_Metric):
     def value(self):
         return self._only_default().value
 
-    def _only_default(self):
-        if self._default is None:
-            raise ValueError(f"{self.name} requires .labels(...)")
-        return self._default
-
 
 class Gauge(_Metric):
     kind = "gauge"
 
     def _make_child(self):
         return _GaugeChild()
-
-    def _sample(self, labels, child):
-        return {"labels": labels, "value": child.value}
 
     def set(self, value):
         self._only_default().set(value)
@@ -296,11 +297,6 @@ class Gauge(_Metric):
     @property
     def value(self):
         return self._only_default().value
-
-    def _only_default(self):
-        if self._default is None:
-            raise ValueError(f"{self.name} requires .labels(...)")
-        return self._default
 
 
 class Histogram(_Metric):
@@ -335,19 +331,6 @@ class Histogram(_Metric):
         (unlabeled) child."""
         return self._only_default().snapshot()
 
-    @property
-    def count(self):
-        return self._only_default().count
-
-    @property
-    def sum(self):
-        return self._only_default().sum
-
-    def _only_default(self):
-        if self._default is None:
-            raise ValueError(f"{self.name} requires .labels(...)")
-        return self._default
-
 
 class MetricsRegistry:
     """Named metrics plus snapshot-time collector callbacks.
@@ -358,9 +341,10 @@ class MetricsRegistry:
     the engine can run under re-import and in any order.
 
     Collectors are zero-arg callables returning an iterable of family
-    dicts, evaluated only at :meth:`collect` time — the serve layer uses
-    one to expose its existing per-circuit state without paying anything
-    on the request path.
+    dicts, evaluated only at :meth:`collect` time — each server keeps
+    its series in a registry of its own and plugs that registry's
+    ``collect`` into :data:`REGISTRY` this way, so serial in-process
+    servers never share counts.
     """
 
     def __init__(self):
@@ -422,6 +406,28 @@ class MetricsRegistry:
 
     def render(self):
         return render_prometheus(self.collect())
+
+
+def histogram_quantile(q, buckets, count):
+    """Estimate the ``q`` quantile (``0 < q <= 1``) of a histogram.
+
+    ``buckets`` is a sample's ``[[upper_bound, cumulative_count], ...]``
+    over the finite bounds and ``count`` its total (the ``+Inf``
+    bucket).  Prometheus ``histogram_quantile`` semantics: find the
+    bucket holding rank ``q * count`` and interpolate linearly inside
+    it (the first bucket starts at 0); a rank in the ``+Inf`` bucket
+    answers the largest finite bound.  ``None`` for an empty histogram.
+    """
+    if not count:
+        return None
+    rank = q * count
+    lower, below = 0.0, 0
+    for bound, cumulative in buckets:
+        if cumulative >= rank:  # so below < rank <= cumulative
+            fraction = (rank - below) / (cumulative - below)
+            return lower + (bound - lower) * fraction
+        lower, below = bound, cumulative
+    return lower
 
 
 def merge_families(tagged: Iterable[tuple[Iterable[Mapping], Mapping]]):
@@ -517,16 +523,13 @@ def _validate_name(name):
         raise ValueError(f"invalid metric/label name: {name!r}")
 
 
-#: The process-wide default registry.  Engine and serve instrumentation
-#: register here at import time; ``GET /metrics`` and the ``metrics``
-#: protocol op read from it.
+#: The process-wide default registry.  Engine instrumentation registers
+#: here at import time and every running server plugs its own registry
+#: in as a collector; ``GET /metrics`` and the ``metrics`` protocol op
+#: read from it.
 REGISTRY = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
     return REGISTRY
 
-
-# Re-exported for type hints in callers.
-Collector = Callable[[], Iterable[Mapping]]
-LabelNames = Sequence[str]

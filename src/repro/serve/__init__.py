@@ -17,13 +17,13 @@ Serving is load-shedding rather than unbounded-queueing: the shared
 :class:`NdjsonTransport` enforces per-connection and global in-flight
 limits and answers excess requests with the typed ``overloaded`` error,
 which :class:`ClientPool` — a thread-safe fleet of persistent
-connections — treats as a retry-after-backoff signal. Live per-circuit
-qps / latency-quantile / batching metrics (:class:`ServeMetrics`) ride
-along on ``ping`` and ``circuits`` responses; the PR 10 observability
-layer adds a ``metrics`` op (Prometheus families merged across
-replicas), wire-propagated request tracing (``"trace"`` field →
-``result.timing`` span tree), and ``problp serve --obs-port N`` for
-``GET /metrics`` / ``GET /healthz`` scraping.
+connections — treats as a retry-after-backoff signal. Each server
+records per-circuit requests, errors, queue depth, latency and batching
+as :mod:`repro.obs` series: ``ping``/``circuits`` summarize them, the
+``metrics`` op returns them as Prometheus families (merged across
+replicas), request tracing (``"trace"`` field → ``result.timing`` span
+tree) rides the wire, and ``problp serve --obs-port N`` serves
+``GET /metrics`` / ``GET /healthz``.
 Stdlib-only: asyncio + sockets + multiprocessing.
 
 Quick start::
@@ -38,9 +38,8 @@ Or from the command line:
 ``problp serve --port 7501 --shards 2 --replicas 3``.
 """
 
-from .batching import BatchKey, BatcherStats, MicroBatcher
+from .batching import BatchKey, MicroBatcher
 from .client import ServeClient
-from .metrics import CircuitMetrics, RateMeter, ServeMetrics
 from .pool import ClientPool
 from .protocol import (
     CircuitsRequest,
@@ -83,9 +82,7 @@ from .transport import Connection, NdjsonTransport
 __all__ = [
     "BackgroundServer",
     "BatchKey",
-    "BatcherStats",
     "CircuitEntry",
-    "CircuitMetrics",
     "CircuitRegistry",
     "CircuitSource",
     "CircuitsRequest",
@@ -103,13 +100,11 @@ __all__ = [
     "ProbLPServer",
     "ProtocolError",
     "REQUEST_TYPES",
-    "RateMeter",
     "ReloadRequest",
     "Request",
     "Response",
     "ServeClient",
     "ServeError",
-    "ServeMetrics",
     "ServerOverloadedError",
     "ShardRouter",
     "ShardedServer",

@@ -10,6 +10,10 @@ small window (or until ``max_batch`` accumulate), executed as **one**
 call on a worker thread, and the per-row results are scattered back to
 each request's future.
 
+Each flush is recorded once, into the batcher's registry:
+``problp_batch_size{circuit,kind}`` (``_count`` flushes, ``_sum``
+requests), ``problp_batch_wait_seconds`` and ``problp_batch_largest``.
+
 Error attribution: when a coalesced batch fails as a whole (one bad
 evidence variable, one zero-probability instance), the batcher falls
 back to per-request execution so each caller receives *its own* error —
@@ -25,7 +29,7 @@ from typing import Any, Awaitable, Callable, Sequence
 
 from ..arith.fixedpoint import FixedPointFormat
 from ..arith.floatingpoint import FloatFormat
-from ..obs.metrics import REGISTRY
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import now_us
 
 AnyFormat = FixedPointFormat | FloatFormat
@@ -34,18 +38,6 @@ AnyFormat = FixedPointFormat | FloatFormat
 #: enough to stay invisible next to a tape replay.
 DEFAULT_BATCH_WINDOW = 0.002
 DEFAULT_MAX_BATCH = 256
-
-_WAIT_SECONDS = REGISTRY.histogram(
-    "problp_batch_wait_seconds",
-    "Time from a bucket's first request to its flush (coalesce wait).",
-    labelnames=("kind",),
-)
-_BATCH_SIZE = REGISTRY.histogram(
-    "problp_batch_size",
-    "Requests coalesced into one flushed batch.",
-    labelnames=("kind",),
-    buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-)
 
 
 @dataclass(frozen=True)
@@ -63,30 +55,6 @@ class BatchKey:
     joint: bool = False
 
 
-@dataclass
-class BatcherStats:
-    """Aggregate counters, surfaced by the server's ``ping`` op."""
-
-    requests: int = 0
-    batches: int = 0
-    largest_batch: int = 0
-
-    def record(self, size: int) -> None:
-        self.requests += size
-        self.batches += 1
-        self.largest_batch = max(self.largest_batch, size)
-
-    def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "largest_batch": self.largest_batch,
-            "mean_batch": (
-                self.requests / self.batches if self.batches else 0.0
-            ),
-        }
-
-
 class MicroBatcher:
     """Coalesce per-key requests within a window; scatter results back.
 
@@ -94,7 +62,8 @@ class MicroBatcher:
     runs on ``executor`` via ``run_in_executor`` and must return one
     result per request, in order. The batcher itself lives on the event
     loop: ``submit`` is the only entry point and must be awaited on the
-    loop thread.
+    loop thread. ``registry`` receives the flush series (a fresh one
+    by default).
     """
 
     def __init__(
@@ -104,6 +73,7 @@ class MicroBatcher:
         window: float = DEFAULT_BATCH_WINDOW,
         max_batch: int = DEFAULT_MAX_BATCH,
         executor=None,
+        registry: MetricsRegistry | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
@@ -115,7 +85,23 @@ class MicroBatcher:
         self._opened: dict[BatchKey, float] = {}
         self._timers: dict[BatchKey, asyncio.TimerHandle] = {}
         self._inflight: set[asyncio.Task] = set()
-        self.stats = BatcherStats()
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._wait_seconds = self.registry.histogram(
+            "problp_batch_wait_seconds",
+            "Time from a bucket's first request to its flush (coalesce wait).",
+            labelnames=("kind",),
+        )
+        self._batch_size = self.registry.histogram(
+            "problp_batch_size",
+            "Requests coalesced into one flushed batch.",
+            labelnames=("circuit", "kind"),
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
+        )
+        self._largest = self.registry.gauge(
+            "problp_batch_largest",
+            "Most requests coalesced into one flushed batch.",
+            labelnames=("kind",),
+        )
 
     def submit(self, key: BatchKey, request: Any, trace=None) -> Awaitable[Any]:
         """Enqueue one request; resolves to its scattered result.
@@ -156,11 +142,15 @@ class MicroBatcher:
     ) -> None:
         loop = asyncio.get_running_loop()
         requests = [request for request, _, _, _ in batch]
-        self.stats.record(len(requests))
         opened = self._opened.pop(key, None)
         if opened is not None:
-            _WAIT_SECONDS.labels(key.kind).observe(time.monotonic() - opened)
-        _BATCH_SIZE.labels(key.kind).observe(len(requests))
+            self._wait_seconds.labels(key.kind).observe(
+                time.monotonic() - opened
+            )
+        self._batch_size.labels(key.circuit, key.kind).observe(len(requests))
+        largest = self._largest.labels(key.kind)
+        if len(requests) > largest.value:
+            largest.set(len(requests))
         execute_start = now_us()
         for _, _, _, wait_span in batch:
             if wait_span is not None:

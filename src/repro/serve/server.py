@@ -13,10 +13,12 @@ Connection handling rides the shared
 :class:`~repro.serve.transport.NdjsonTransport` (the same loop the
 sharding/replication front uses), which also enforces the server's
 backpressure: per-connection and global in-flight limits answered with
-the typed ``overloaded`` error instead of unbounded buffering. Live
-per-circuit metrics (:mod:`repro.serve.metrics`) ride every request and
-surface through ``ping``/``circuits`` and the optional
-``--metrics-interval`` log line.
+the typed ``overloaded`` error instead of unbounded buffering. Every
+request and flush is recorded into the server's own
+:class:`~repro.obs.metrics.MetricsRegistry` (``problp_serve_*``,
+``problp_batch_*``, ``problp_executor_seconds``); :func:`serve_snapshot`
+reads those series back for ``ping``/``circuits`` and
+:func:`log_line` for the optional ``--metrics-interval`` line.
 
 :class:`BackgroundServer` runs the whole thing on a dedicated event-loop
 thread — the embedding used by tests, the benchmark harness and the
@@ -37,7 +39,12 @@ import numpy as np
 
 from .. import __version__
 from ..arith.fixedpoint import FixedPointFormat
-from ..obs.metrics import METRICS_SCHEMA_VERSION, REGISTRY
+from ..obs.metrics import (
+    METRICS_SCHEMA_VERSION,
+    REGISTRY,
+    MetricsRegistry,
+    histogram_quantile,
+)
 from ..obs.tracing import SpanRing, Trace
 from .batching import (
     DEFAULT_BATCH_WINDOW,
@@ -45,7 +52,6 @@ from .batching import (
     BatchKey,
     MicroBatcher,
 )
-from .metrics import ServeMetrics
 from .protocol import (
     STREAM_LIMIT,
     CircuitsRequest,
@@ -67,12 +73,6 @@ from .protocol import (
 from .registry import CircuitRegistry
 from .transport import Connection, NdjsonTransport
 
-_EXECUTOR_SECONDS = REGISTRY.histogram(
-    "problp_executor_seconds",
-    "Wall time of one coalesced batch execution on a worker thread.",
-    labelnames=("workload", "backend", "fmt"),
-)
-
 
 def _fmt_kind(fmt) -> str:
     if fmt is None:
@@ -88,6 +88,107 @@ DEFAULT_WORKER_THREADS = 4
 #: rounds of headroom before load is shed with ``overloaded``.
 DEFAULT_MAX_INFLIGHT_PER_CONNECTION = 1024
 DEFAULT_MAX_INFLIGHT = 4096
+
+
+def serve_snapshot(registry: MetricsRegistry) -> dict:
+    """``ping``'s ``metrics`` and ``batching`` blocks, read off the
+    series in a server's registry: the one reader behind ``ping``,
+    ``circuits`` and the ``--metrics-interval`` line. Rates, means and
+    latency quantiles are derived here, never on the request path.
+    """
+    samples = {family["name"]: family["samples"]
+               for family in registry.collect()}
+
+    def total(name):
+        return sum(sample["value"] for sample in samples.get(name, ()))
+
+    def by_circuit(name):
+        return {sample["labels"]["circuit"]: sample
+                for sample in samples.get(name, ())}
+
+    uptime = total("problp_serve_uptime_seconds")
+
+    def rate(count):
+        return round(count / uptime, 3) if uptime else 0.0
+
+    flushes: dict[str, list] = {}
+    for sample in samples.get("problp_batch_size", ()):
+        flushed = flushes.setdefault(sample["labels"]["circuit"], [0, 0])
+        flushed[0] += sample["count"]
+        flushed[1] += int(sample["sum"])
+    errors = by_circuit("problp_serve_errors_total")
+    depth = by_circuit("problp_serve_queue_depth")
+    latency = by_circuit("problp_serve_latency_seconds")
+    circuits = {}
+    for name, sample in sorted(
+        by_circuit("problp_serve_requests_total").items()
+    ):
+        count, size = flushes.get(name, (0, 0))
+        circuit = circuits[name] = {
+            "requests": int(sample["value"]),
+            "errors": int(errors.get(name, {}).get("value", 0)),
+            "qps": rate(sample["value"]),
+            "queue_depth": int(depth.get(name, {}).get("value", 0)),
+            "batches": count,
+            "mean_batch": size / count if count else 0.0,
+        }
+        hist = latency.get(name)
+        if hist is not None and hist["count"]:
+            for key, q in (("p50_ms", 0.50), ("p99_ms", 0.99)):
+                seconds = histogram_quantile(q, hist["buckets"], hist["count"])
+                circuit[key] = round(seconds * 1e3, 3)
+    requests = sum(circuit["requests"] for circuit in circuits.values())
+    batches = sum(count for count, _ in flushes.values())
+    flushed = sum(size for _, size in flushes.values())
+    largest = [s["value"] for s in samples.get("problp_batch_largest", ())]
+    return {
+        "metrics": {
+            "uptime_s": round(uptime, 3),
+            "overloaded": int(total("problp_serve_overloaded_total")),
+            "requests": requests,
+            "qps": rate(requests),
+            "circuits": circuits,
+        },
+        "batching": {
+            "requests": flushed,
+            "batches": batches,
+            "largest_batch": int(max(largest, default=0)),
+            "mean_batch": flushed / batches if batches else 0.0,
+        },
+    }
+
+
+def log_line(metrics: dict, previous: dict | None = None) -> str:
+    """One ``--metrics-interval`` line from :func:`serve_snapshot`'s
+    ``metrics`` block; rates cover the interval since ``previous``
+    (since start when ``None``), from the request counter's delta."""
+    before = previous or {"uptime_s": 0.0, "requests": 0, "circuits": {}}
+    elapsed = metrics["uptime_s"] - before["uptime_s"]
+
+    def qps(now, then):
+        return round((now - then) / elapsed, 3) if elapsed > 0 else 0.0
+
+    parts = [
+        f"qps={qps(metrics['requests'], before['requests']):g}",
+        f"requests={metrics['requests']}",
+        f"overloaded={metrics['overloaded']}",
+    ]
+    for name, circuit in metrics["circuits"].items():
+        if not circuit["requests"]:
+            continue
+        then = before["circuits"].get(name, {}).get("requests", 0)
+        detail = (
+            f"{name}: qps={qps(circuit['requests'], then):g} "
+            f"depth={circuit['queue_depth']}"
+        )
+        if "p50_ms" in circuit:
+            detail += (
+                f" p50={circuit['p50_ms']:g}ms p99={circuit['p99_ms']:g}ms"
+            )
+        if circuit["batches"]:
+            detail += f" batch={circuit['mean_batch']:.1f}"
+        parts.append(detail)
+    return " | ".join(parts)
 
 
 class ProbLPServer:
@@ -153,18 +254,52 @@ class ProbLPServer:
         self._executor = ThreadPoolExecutor(
             max_workers=worker_threads, thread_name_prefix="problp-serve"
         )
+        #: This server's series; plugged into the process
+        #: :data:`~repro.obs.metrics.REGISTRY` from :meth:`start` to
+        #: :meth:`stop`.
+        self.metrics = MetricsRegistry()
+        started = time.monotonic()
+        self.metrics.gauge(
+            "problp_serve_uptime_seconds", "Server uptime (monotonic clock)."
+        ).set_function(lambda: time.monotonic() - started)
+        overloaded = self.metrics.counter(
+            "problp_serve_overloaded_total",
+            "Requests shed with the overloaded error code.",
+        )
+        self._requests = self.metrics.counter(
+            "problp_serve_requests_total", "Finished requests per circuit.",
+            ("circuit",),
+        )
+        self._errors = self.metrics.counter(
+            "problp_serve_errors_total",
+            "Finished requests that answered with an error.", ("circuit",),
+        )
+        self._queue_depth = self.metrics.gauge(
+            "problp_serve_queue_depth",
+            "Requests admitted but not yet answered.", ("circuit",),
+        )
+        self._latency = self.metrics.histogram(
+            "problp_serve_latency_seconds",
+            "Request latency from admission to answer.", ("circuit",),
+        )
+        self._executor_seconds = self.metrics.histogram(
+            "problp_executor_seconds",
+            "Wall time of one coalesced batch execution on a worker thread.",
+            ("workload", "backend", "fmt"),
+        )
+        self._circuit_series: dict[str, tuple] = {}
         self.batcher = MicroBatcher(
             self._execute_batch,
             window=batch_window,
             max_batch=max_batch,
             executor=self._executor,
+            registry=self.metrics,
         )
-        self.metrics = ServeMetrics()
         self.transport = NdjsonTransport(
             self._handle_request,
             max_inflight_per_connection=max_inflight_per_connection,
             max_inflight_total=max_inflight,
-            on_overload=self.metrics.record_overload,
+            on_overload=overloaded.inc,
         )
         self._metrics_interval = metrics_interval
         self._metrics_log = metrics_log or (
@@ -201,18 +336,22 @@ class ProbLPServer:
         )
         sockname = self._server.sockets[0].getsockname()
         self._host, self._port = sockname[0], sockname[1]
+        REGISTRY.register_collector(self.metrics.collect)
         if self._metrics_interval:
             self._metrics_task = asyncio.ensure_future(
                 self._metrics_loop(self._metrics_interval)
             )
 
     async def _metrics_loop(self, interval: float) -> None:
+        previous = None
         while True:
             await asyncio.sleep(interval)
+            metrics = serve_snapshot(self.metrics)["metrics"]
             self._metrics_log(
                 f"problp serve [{self._host}:{self._port}] "
-                + self.metrics.log_line()
+                + log_line(metrics, previous)
             )
+            previous = metrics
 
     async def serve_until_shutdown(self) -> None:
         """Serve until :meth:`request_shutdown` (or the shutdown op)."""
@@ -246,7 +385,7 @@ class ProbLPServer:
             await server.wait_closed()
         self.batcher.close()
         self._executor.shutdown(wait=True, cancel_futures=True)
-        self.metrics.close()
+        REGISTRY.unregister_collector(self.metrics.collect)
 
     # -- request handling ----------------------------------------------
     async def _handle_request(
@@ -258,8 +397,17 @@ class ProbLPServer:
         if circuit is None:
             return ok_response(request, await self._respond(request))
         trace = self._trace_for(request)
-        record = self.metrics.circuit(circuit)
-        record.queue_depth += 1
+        # Per-circuit children, resolved once (loop thread only): four
+        # ``labels()`` lookups per request would dominate the hot path.
+        series = self._circuit_series.get(circuit)
+        if series is None:
+            series = self._circuit_series[circuit] = tuple(
+                metric.labels(circuit)
+                for metric in (self._requests, self._errors,
+                               self._queue_depth, self._latency)
+            )
+        requests, errors, queue_depth, latency = series
+        queue_depth.inc()
         start = time.monotonic()
         ok = False
         try:
@@ -271,8 +419,11 @@ class ProbLPServer:
         finally:
             if trace is not None and not ok:
                 self._finish_trace(trace, request, None, ok=False)
-            record.queue_depth -= 1
-            record.record(time.monotonic() - start, ok=ok)
+            queue_depth.dec()
+            requests.inc()
+            if not ok:
+                errors.inc()
+            latency.observe(time.monotonic() - start)
 
     def _trace_for(self, request: Request) -> Trace | None:
         """The trace context for one circuit request, or None.
@@ -338,16 +489,17 @@ class ProbLPServer:
         self, request: Request, trace: Trace | None = None
     ) -> dict:
         if isinstance(request, PingRequest):
+            snapshot = serve_snapshot(self.metrics)
             return {
                 "server": "problp-serve",
                 "version": __version__,
                 "protocol": 1,
                 "circuits": len(self.registry),
-                "uptime_s": round(self.metrics.uptime_s, 3),
+                "uptime_s": snapshot["metrics"]["uptime_s"],
                 "inflight": self.transport.inflight,
-                "batching": self.batcher.stats.to_dict(),
+                "batching": snapshot["batching"],
                 "backends": self._backend_availability(),
-                "metrics": self.metrics.snapshot(),
+                "metrics": snapshot["metrics"],
                 "metrics_schema_version": METRICS_SCHEMA_VERSION,
                 # Protocol capabilities clients probe before relying on
                 # newer ops (θ tiles since PR 7, hot reload since PR 9,
@@ -367,10 +519,10 @@ class ProbLPServer:
             circuits = await loop.run_in_executor(
                 self._executor, self.registry.describe
             )
+            live = serve_snapshot(self.metrics)["metrics"]["circuits"]
             for info in circuits:
-                snapshot = self.metrics.circuit_snapshot(info["name"])
-                if snapshot is not None:
-                    info["metrics"] = snapshot
+                if info["name"] in live:
+                    info["metrics"] = live[info["name"]]
             return {"circuits": circuits}
         if isinstance(request, ShutdownRequest):
             if not self.allow_shutdown:
@@ -447,16 +599,15 @@ class ProbLPServer:
         backend = (
             results[0].get("backend", "unknown") if results else "unknown"
         )
-        _EXECUTOR_SECONDS.labels(key.kind, backend, _fmt_kind(key.fmt)).observe(
-            time.monotonic() - started
-        )
+        self._executor_seconds.labels(
+            key.kind, backend, _fmt_kind(key.fmt)
+        ).observe(time.monotonic() - started)
         return results
 
     def _execute_batch_inner(
         self, key: BatchKey, requests: Sequence[Any]
     ) -> list[dict]:
         """One coalesced tape replay; one result dict per request."""
-        self.metrics.circuit(key.circuit).record_batch(len(requests))
         entry = self.registry.entry(key.circuit)
         session = entry.session
         batch = [request.evidence for request in requests]

@@ -37,7 +37,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from ..obs.metrics import METRICS_SCHEMA_VERSION, merge_families
+from ..obs.metrics import (
+    METRICS_SCHEMA_VERSION,
+    REGISTRY,
+    MetricsRegistry,
+    merge_families,
+)
 from ..obs.tracing import now_us
 from .batching import DEFAULT_BATCH_WINDOW, DEFAULT_MAX_BATCH
 from .protocol import (
@@ -178,8 +183,24 @@ class ShardRouter:
         self._shutdown = asyncio.Event()
         self._pending: dict[int, _Forward] = {}
         self._next_internal = 0
-        self._started = time.monotonic()
-        self.overloaded = 0
+        #: The router's own few series (it runs no engine, no batcher);
+        #: plugged into the process registry from :meth:`start` to
+        #: :meth:`stop`.
+        self.metrics = MetricsRegistry()
+        started = time.monotonic()
+        self._uptime = self.metrics.gauge(
+            "problp_front_uptime_seconds",
+            "Sharding-front uptime (monotonic clock).",
+        )
+        self._uptime.set_function(lambda: time.monotonic() - started)
+        self._overloaded = self.metrics.counter(
+            "problp_front_overloaded_total",
+            "Requests the front shed with the overloaded error code.",
+        )
+        self.metrics.gauge(
+            "problp_front_pending_forwards",
+            "Forwarded requests awaiting a worker response.",
+        ).set_function(lambda: len(self._pending))
         self.transport = NdjsonTransport(
             self._handle_request,
             max_inflight_per_connection=max_inflight_per_connection,
@@ -187,11 +208,8 @@ class ShardRouter:
             # Forwards leave their line task before the worker answers;
             # count them against the global limit explicitly.
             extra_inflight=lambda: len(self._pending),
-            on_overload=self._record_overload,
+            on_overload=self._overloaded.inc,
         )
-
-    def _record_overload(self) -> None:
-        self.overloaded += 1
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -225,6 +243,7 @@ class ShardRouter:
         )
         sockname = self._server.sockets[0].getsockname()
         self._host, self._port = sockname[0], sockname[1]
+        REGISTRY.register_collector(self.metrics.collect)
 
     async def serve_until_shutdown(self) -> None:
         await self._shutdown.wait()
@@ -257,6 +276,7 @@ class ShardRouter:
         await self.transport.wait_closed()
         if server is not None:
             await server.wait_closed()
+        REGISTRY.unregister_collector(self.metrics.collect)
 
     async def _shutdown_shard(self, link: _ShardLink) -> None:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
@@ -594,9 +614,9 @@ class ShardRouter:
             "replicas": [len(group) for group in self._groups],
             "workers": workers + dead,
             "circuits": len(self._table),
-            "uptime_s": round(time.monotonic() - self._started, 3),
+            "uptime_s": round(self._uptime.value, 3),
             "inflight": self.transport.inflight,
-            "overloaded": self.overloaded,
+            "overloaded": int(self._overloaded.value),
             # Fleet-level backend surface: conservative (intersection
             # across healthy workers), so a client probing the front
             # sees only capabilities *every* replica can honor.
@@ -618,7 +638,7 @@ class ShardRouter:
             [link for link in self.links if not link.disconnected],
             {"op": "metrics"},
         )
-        tagged = [(self._front_families(), {"worker": "front"})]
+        tagged = [(self.metrics.collect(), {"worker": "front"})]
         for link, payload in answers:
             if payload is None or not payload.get("ok"):
                 continue
@@ -635,33 +655,6 @@ class ShardRouter:
                 "families": merge_families(tagged),
             },
         )
-
-    def _front_families(self) -> list[dict]:
-        """The router's own few series (it runs no engine, no batcher)."""
-        return [
-            {
-                "name": "problp_front_uptime_seconds",
-                "type": "gauge",
-                "help": "Sharding-front uptime (monotonic clock).",
-                "samples": [{
-                    "labels": {},
-                    "value": time.monotonic() - self._started,
-                }],
-            },
-            {
-                "name": "problp_front_overloaded_total",
-                "type": "counter",
-                "help": "Requests the front shed with the overloaded "
-                        "error code.",
-                "samples": [{"labels": {}, "value": self.overloaded}],
-            },
-            {
-                "name": "problp_front_pending_forwards",
-                "type": "gauge",
-                "help": "Forwarded requests awaiting a worker response.",
-                "samples": [{"labels": {}, "value": len(self._pending)}],
-            },
-        ]
 
     async def _merged_circuits(self, request_id) -> Response:
         """One replica per shard describes its circuits; merged listing."""

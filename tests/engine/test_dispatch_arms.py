@@ -205,6 +205,17 @@ def test_one_dispatch_per_batch_call(session, fmt):
             assert dispatch_count(effective) == before + 1
 
 
+def test_one_dispatch_per_single_query_call(session):
+    """``partials`` and ``marginals`` also record exactly one dispatch —
+    the numpy ``marginals`` arm must not re-dispatch through
+    ``partials``."""
+    effective, _ = session.dispatch_plan()
+    for call in (session.partials, session.marginals):
+        before = dispatch_count(effective)
+        call({"Rain": 1})
+        assert dispatch_count(effective) == before + 1
+
+
 def ternary_sum_circuit():
     """One 3-ary sum over indicator × parameter products (not binary)."""
     circuit = ArithmeticCircuit(dedup=False)

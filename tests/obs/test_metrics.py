@@ -10,6 +10,8 @@ children and assert the totals to the last increment.
 from __future__ import annotations
 
 import json
+import math
+import random
 import threading
 
 import pytest
@@ -18,6 +20,7 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     METRICS_SCHEMA_VERSION,
     MetricsRegistry,
+    histogram_quantile,
     merge_families,
     render_prometheus,
     set_enabled,
@@ -125,6 +128,62 @@ class TestHistogramExactness:
         assert cumulative[-1] <= count
 
 
+class TestHistogramQuantile:
+    """Prometheus ``histogram_quantile`` interpolation over the buckets."""
+
+    @staticmethod
+    def _quantile(hist, q):
+        (sample,) = hist.collect()["samples"]
+        return histogram_quantile(q, sample["buckets"], sample["count"])
+
+    @staticmethod
+    def _bucket_of(value, bounds=DEFAULT_BUCKETS):
+        """``(lower, upper]`` of the bucket ``observe(value)`` lands in."""
+        index = next(
+            (i for i, bound in enumerate(bounds) if value <= bound),
+            len(bounds),
+        )
+        lower = 0.0 if index == 0 else bounds[index - 1]
+        upper = bounds[index] if index < len(bounds) else bounds[-1]
+        return lower, upper
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_estimate_lies_in_the_nearest_rank_bucket(self, seed):
+        rng = random.Random(seed)
+        samples = [rng.lognormvariate(math.log(0.004), 1.2)
+                   for _ in range(rng.randint(50, 2000))]
+        hist = MetricsRegistry().histogram("lat_seconds", "latencies")
+        for value in samples:
+            hist.observe(value)
+        ordered = sorted(samples)
+        estimates = {}
+        for q in (0.50, 0.99):
+            exact = ordered[math.ceil(q * len(ordered)) - 1]
+            lower, upper = self._bucket_of(exact)
+            estimates[q] = self._quantile(hist, q)
+            assert lower <= estimates[q] <= upper, (q, exact, estimates[q])
+        assert estimates[0.99] >= estimates[0.50]
+
+    def test_empty_histogram_has_no_quantile(self):
+        hist = MetricsRegistry().histogram("lat_seconds", "latencies")
+        assert self._quantile(hist, 0.5) is None
+        assert histogram_quantile(0.99, [], 0) is None
+
+    def test_single_sample_interpolates_inside_its_bucket(self):
+        hist = MetricsRegistry().histogram("lat_seconds", "latencies")
+        hist.observe(0.003)  # the (0.0025, 0.005] bucket
+        assert self._quantile(hist, 0.5) == pytest.approx(0.00375)
+        assert self._quantile(hist, 0.99) == pytest.approx(0.004975)
+
+    def test_overflow_rank_answers_the_largest_finite_bound(self):
+        hist = MetricsRegistry().histogram(
+            "lat_seconds", "latencies", buckets=(0.1, 1.0)
+        )
+        for value in (0.05, 7.0, 9.0):
+            hist.observe(value)
+        assert self._quantile(hist, 0.99) == 1.0
+
+
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):
         registry = MetricsRegistry()
@@ -184,6 +243,14 @@ class TestRegistry:
             set_enabled(True)
         counter.inc()
         assert counter.value == 2
+
+    def test_gauge_inc_dec(self):
+        gauge = MetricsRegistry().gauge("depth", "d", labelnames=("k",))
+        child = gauge.labels("a")
+        child.inc()
+        child.inc(3)
+        child.dec()
+        assert child.value == 3.0
 
 
 class TestRenderer:

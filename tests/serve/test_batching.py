@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.serve import BatchKey, MicroBatcher
+from repro.serve.server import serve_snapshot
 
 KEY = BatchKey(circuit="sprinkler", kind="eval")
 OTHER = BatchKey(circuit="asia", kind="eval")
@@ -122,13 +123,17 @@ class TestCoalescing:
                 *(batcher.submit(KEY, index) for index in range(5))
             )
             await batcher.drain()
-            return batcher.stats
+            return batcher.registry
 
-        stats = asyncio.run(scenario())
-        assert stats.requests == 5
-        assert stats.batches == 2
-        assert stats.largest_batch == 4
-        assert stats.to_dict()["mean_batch"] == pytest.approx(2.5)
+        registry = asyncio.run(scenario())
+        stats = serve_snapshot(registry)["batching"]
+        assert stats["requests"] == 5
+        assert stats["batches"] == 2
+        assert stats["largest_batch"] == 4
+        assert stats["mean_batch"] == pytest.approx(2.5)
+        (size,) = registry.get("problp_batch_size").collect()["samples"]
+        assert size["labels"] == {"circuit": "sprinkler", "kind": "eval"}
+        assert (size["count"], size["sum"]) == (2, 5)
 
 
 class TestDrain:

@@ -11,6 +11,7 @@ Prometheus text.
 
 import json
 import threading
+import time
 import urllib.request
 from pathlib import Path
 
@@ -68,9 +69,11 @@ class TestMetricsOp:
         assert "problp_batch_wait_seconds" in names
         assert "problp_batch_size" in names
         assert "problp_executor_seconds" in names
-        # ...and the per-circuit serve collector.
+        # ...and the server's own per-circuit series.
         assert "problp_serve_requests_total" in names
         assert "problp_serve_overloaded_total" in names
+        assert "problp_serve_latency_seconds" in names
+        assert "problp_batch_largest" in names
 
     def test_served_traffic_moves_the_counters(self, client):
         def series(payload, name):
@@ -240,8 +243,20 @@ class TestShardedTracing:
                         )
                     )
 
+                # Kill replica (0, 1) only once the front has a forward
+                # pending on its link, so the kill always strands one.
+                (link,) = [
+                    link for link in server._front.server.links
+                    if (link.shard, link.replica) == (0, 1)
+                ]
                 thread = threading.Thread(target=hammer)
                 thread.start()
+                deadline = time.monotonic() + 30
+                while not link.pending:
+                    assert time.monotonic() < deadline, (
+                        "no forward reached replica (0, 1)"
+                    )
+                    time.sleep(0.0005)
                 server.kill_replica(0, 1)
                 thread.join(timeout=60)
                 assert not thread.is_alive()

@@ -13,17 +13,16 @@ import time
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     BackgroundServer,
-    CircuitMetrics,
     CircuitRegistry,
     CircuitSource,
     ClientPool,
-    RateMeter,
     ServeClient,
     ServeError,
-    ServeMetrics,
 )
+from repro.serve.server import log_line, serve_snapshot
 
 
 def fresh_registry(*names):
@@ -160,6 +159,36 @@ class TestMetricsSurface:
                 stats = client.ping()["metrics"]["circuits"]["sprinkler"]
         assert stats["errors"] == 1
 
+    def test_failed_over_batch_counts_as_one_flush(self):
+        # One coalesced marginals batch of 3 whose zero-evidence member
+        # fails it as a whole: the per-request fail-over re-runs are
+        # not flushes, so every surface reports 1 batch of 3.
+        bad = {"Sprinkler": 0, "Rain": 0, "WetGrass": 1}
+        with BackgroundServer(
+            fresh_registry("sprinkler"), batch_window=0.2
+        ) as server:
+            with ServeClient(server.host, server.port) as client:
+                responses = client.request_many(
+                    {"op": "marginals", "circuit": "sprinkler",
+                     "evidence": evidence}
+                    for evidence in ({}, bad, {"Rain": 1})
+                )
+                info = client.ping()
+                families = client.metrics()["families"]
+        assert [r.ok for r in responses] == [True, False, True]
+        assert responses[1].error_code == "zero_evidence"
+        stats = info["metrics"]["circuits"]["sprinkler"]
+        assert (stats["batches"], stats["mean_batch"]) == (1, 3.0)
+        assert (info["batching"]["batches"],
+                info["batching"]["mean_batch"]) == (1, 3.0)
+        (size,) = [
+            sample
+            for family in families if family["name"] == "problp_batch_size"
+            for sample in family["samples"]
+            if sample["labels"].get("circuit") == "sprinkler"
+        ]
+        assert (size["count"], size["sum"]) == (1, 3.0)
+
     def test_circuits_op_carries_metrics_blocks(self):
         with BackgroundServer(
             fresh_registry("sprinkler", "asia"), batch_window=0.0
@@ -190,35 +219,57 @@ class TestMetricsSurface:
 
 
 class TestMetricsUnits:
-    def test_rate_meter_decays_between_buckets(self):
-        meter = RateMeter(window=1.0)
-        for _ in range(10):
-            meter.tick(now=100.25)
-        assert meter.rate(now=100.5) == pytest.approx(10.0)
-        # A whole idle bucket later the blended estimate has decayed.
-        assert meter.rate(now=101.9) < 2.0
-        assert meter.rate(now=150.0) == 0.0
+    @staticmethod
+    def record(registry, circuit, latency_s, *, ok=True):
+        """One finished request, recorded the way the server does."""
+        registry.counter(
+            "problp_serve_requests_total", labelnames=("circuit",)
+        ).labels(circuit).inc()
+        errors = registry.counter(
+            "problp_serve_errors_total", labelnames=("circuit",)
+        ).labels(circuit)
+        if not ok:
+            errors.inc()
+        registry.histogram(
+            "problp_serve_latency_seconds", labelnames=("circuit",)
+        ).labels(circuit).observe(latency_s)
 
-    def test_latency_ring_is_bounded(self):
-        record = CircuitMetrics("x")
+    def test_latency_quantiles_come_from_the_histogram(self):
+        registry = MetricsRegistry()
         for index in range(3000):
-            record.record(index * 1e-4)
-        assert len(record._latencies) == 512
-        snapshot = record.snapshot()
+            self.record(registry, "x", index * 1e-4)
+        snapshot = serve_snapshot(registry)["metrics"]["circuits"]["x"]
         assert snapshot["requests"] == 3000
         assert snapshot["p99_ms"] >= snapshot["p50_ms"] > 0.0
 
     def test_server_snapshot_aggregates_circuits(self):
-        metrics = ServeMetrics()
-        metrics.circuit("a").record(0.001)
-        metrics.circuit("b").record(0.002, ok=False)
-        metrics.record_overload()
-        snapshot = metrics.snapshot()
+        registry = MetricsRegistry()
+        self.record(registry, "a", 0.001)
+        self.record(registry, "b", 0.002, ok=False)
+        registry.counter("problp_serve_overloaded_total").inc()
+        snapshot = serve_snapshot(registry)["metrics"]
         assert snapshot["requests"] == 2
         assert snapshot["overloaded"] == 1
         assert set(snapshot["circuits"]) == {"a", "b"}
-        line = metrics.log_line()
+        assert snapshot["circuits"]["b"]["errors"] == 1
+        line = log_line(snapshot)
         assert "overloaded=1" in line and "a:" in line
+
+    def test_log_line_rate_covers_its_own_interval(self):
+        registry = MetricsRegistry()
+        uptime = registry.gauge("problp_serve_uptime_seconds")
+        uptime.set(10.0)
+        for _ in range(100):
+            self.record(registry, "a", 0.001)
+        first = serve_snapshot(registry)["metrics"]
+        assert first["qps"] == 10.0
+        uptime.set(12.0)
+        for _ in range(10):
+            self.record(registry, "a", 0.001)
+        second = serve_snapshot(registry)["metrics"]
+        # 10 requests over the last 2 s, not 110 over the lifetime.
+        assert log_line(second, first).startswith("qps=5 |")
+        assert "a: qps=5 " in log_line(second, first)
 
 
 # ---------------------------------------------------------------------------
