@@ -53,9 +53,8 @@ from repro.arith import (
     FloatFormat,
 )
 from repro.engine import (
-    FixedPointBatchExecutor,
-    FloatBatchExecutor,
     QuantizedTapeEvaluator,
+    WordBatchExecutor,
     execute_batch,
     execute_real,
     session_for,
@@ -132,7 +131,7 @@ def test_engine_tape_speedups(bench_setup):
         ]
 
     legacy_time, legacy_quant = _time(legacy_fixed_batch, repeats=1)
-    executor = FixedPointBatchExecutor(tape, fixed_fmt)
+    executor = WordBatchExecutor(tape, fixed_fmt)
     tape_time, tape_quant = _time(executor.evaluate_batch, quant_evidences)
     assert list(tape_quant) == legacy_quant  # bit-identical
     fixed_speedup = legacy_time / tape_time
@@ -150,7 +149,7 @@ def test_engine_tape_speedups(bench_setup):
         ]
 
     legacy_time, legacy_quant = _time(legacy_float_batch, repeats=1)
-    float_executor = FloatBatchExecutor(tape, float_fmt)
+    float_executor = WordBatchExecutor(tape, float_fmt)
     tape_time, tape_quant = _time(
         float_executor.evaluate_batch, quant_evidences
     )
@@ -245,7 +244,7 @@ def test_backward_sweep_speedups(bench_setup):
         ]
 
     legacy_time, legacy_quant = _time(legacy_quant_marginals, repeats=1)
-    executor = FixedPointBatchExecutor(tape, fixed_fmt)
+    executor = WordBatchExecutor(tape, fixed_fmt)
     tape_time, (_, adjoint_words) = _time(
         executor.partials_batch_words, quant_evidences
     )

@@ -74,8 +74,10 @@ class FixedPointFormat:
     def fits_int64_products(self) -> bool:
         """True when 2F-fraction products stay exact in int64 lanes.
 
-        The contract of the vectorized tape executor
-        (:class:`repro.engine.FixedPointBatchExecutor`): ``2·(I+F) ≤ 62``.
+        The contract of the vectorized word kernel behind
+        :class:`repro.engine.WordBatchExecutor` and the stream
+        simulator (:class:`repro.engine.FixedWordKernel`):
+        ``2·(I+F) ≤ 62``.
         Wider formats must use the scalar big-int backend.
         """
         return 2 * self.total_bits <= 62

@@ -84,10 +84,11 @@ class FloatFormat:
     def fits_int64_products(self) -> bool:
         """True when mantissa products stay exact in int64 lanes.
 
-        The contract of the vectorized tape executor
-        (:class:`repro.engine.FloatBatchExecutor`): ``2·(M+1) ≤ 62`` and
-        bounded exponents (``E ≤ 32``). Wider formats must use the scalar
-        big-int backend.
+        The contract of the vectorized word kernel behind
+        :class:`repro.engine.WordBatchExecutor` and the stream
+        simulator (:class:`repro.engine.FloatWordKernel`):
+        ``2·(M+1) ≤ 62`` and bounded exponents (``E ≤ 32``). Wider
+        formats must use the scalar big-int backend.
         """
         return 2 * (self.mantissa_bits + 1) <= 62 and self.exponent_bits <= 32
 

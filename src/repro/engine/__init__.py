@@ -31,11 +31,10 @@ from .analysis import (
 )
 from .encoder import EvidenceEncoder
 from .executors import (
-    FixedPointBatchExecutor,
     FixedWordKernel,
-    FloatBatchExecutor,
     FloatWordKernel,
     QuantizedTapeEvaluator,
+    WordBatchExecutor,
     execute_batch,
     execute_partials,
     execute_partials_batch,
@@ -78,9 +77,7 @@ __all__ = [
     "BACKEND_CHOICES",
     "BackwardProgram",
     "EvidenceEncoder",
-    "FixedPointBatchExecutor",
     "FixedWordKernel",
-    "FloatBatchExecutor",
     "FloatWordKernel",
     "ForwardSchedule",
     "InferenceSession",
@@ -92,6 +89,7 @@ __all__ = [
     "OP_PRODUCT",
     "OP_SUM",
     "QuantizedTapeEvaluator",
+    "WordBatchExecutor",
     "Tape",
     "TapeAnalysis",
     "ThetaShapeError",

@@ -9,20 +9,21 @@ All executors replay the same :class:`~repro.engine.tape.Tape`:
   fold left-to-right in IEEE doubles);
 * :class:`QuantizedTapeEvaluator` — scalar sweep with any
   :class:`~repro.ac.evaluate.QuantizedBackend`;
-* :class:`FixedPointBatchExecutor` — exact int64-mantissa fixed point
-  over a batch, bit-identical to
-  :class:`~repro.arith.fixedpoint.FixedPointBackend`;
-* :class:`FloatBatchExecutor` — exact (mantissa, exponent) float
-  emulation over a batch, bit-identical to
-  :class:`~repro.arith.floatingpoint.FloatBackend`. This is new: the
-  seed had no vectorized float path, so float sweeps paid the scalar
-  big-int loop for every instance.
+* :class:`WordBatchExecutor` — exact quantized sweeps over a batch on
+  int64 word planes, bit-identical to
+  :class:`~repro.arith.fixedpoint.FixedPointBackend` and
+  :class:`~repro.arith.floatingpoint.FloatBackend`. One forward and one
+  backward sweep serve both arithmetics; the format picks the word
+  kernel — :class:`FixedWordKernel` (one int64 mantissa plane) or
+  :class:`FloatWordKernel` ((mantissa, exponent) planes) — which holds
+  the operator semantics. The seed had no vectorized float path, so
+  float sweeps paid the scalar big-int loop for every instance.
 
-Vectorized exactness contracts: the fixed executor needs products to fit
-in int64 (``2·(I+F) ≤ 62``); the float executor needs mantissa products
-to fit (``2·(M+1) ≤ 62``) and bounded exponents (``E ≤ 32``). Wider
-formats must use the scalar big-int paths — constructors raise
-``ValueError`` so callers can fall back.
+Vectorized exactness contracts: fixed point needs products to fit in
+int64 (``2·(I+F) ≤ 62``); float needs mantissa products to fit
+(``2·(M+1) ≤ 62``) and bounded exponents (``E ≤ 32``). Wider formats
+must use the scalar big-int paths — the kernels raise ``ValueError`` so
+callers can fall back.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from ..arith.floatingpoint import (
 from ..arith.rounding import RoundingMode
 from .encoder import EvidenceEncoder
 from .memo import KeyedMemo
-from .tape import OP_MAX, OP_PRODUCT, OP_SUM, Tape
+from .tape import OP_COPY, OP_MAX, OP_PRODUCT, OP_SUM, Tape
 
 
 # ----------------------------------------------------------------------
@@ -432,18 +433,53 @@ def _invalid_real(value: float) -> ValueError:
 
 
 # ----------------------------------------------------------------------
-# Vectorized fixed point
+# Vectorized word kernels: one operator interface, two arithmetics
 # ----------------------------------------------------------------------
-class FixedWordKernel:
+class _WordKernel:
+    """The operator interface both int64 word kernels share.
+
+    A word is an int64 ``(planes, …)`` stack: one mantissa plane for
+    fixed point, a (mantissa, exponent) plane pair for float (§3.1.1 and
+    §3.1.2 differ only in the word). ``add``, ``multiply`` and
+    ``maximum`` take two stacks and a ``where`` label — the operator
+    site a fixed-point overflow message names — and return a new stack,
+    rounded exactly once. :meth:`planes_of` / :meth:`words_of` convert
+    from and to the public word shapes: an int64 array for fixed point,
+    an ``(m, e)`` array pair for float.
+    """
+
+    #: Number of int64 planes per word.
+    planes: int
+    #: The word of 1.0, shape ``(planes,)``.
+    one_planes: np.ndarray
+
+    def encode_params(self, values: Sequence[float]):
+        """Quantize real parameter values to words (one θ row)."""
+        matrix = self.encode_param_matrix(np.asarray(values)[None])
+        return self.words_of(self.planes_of(matrix)[..., 0])
+
+    @property
+    def operators(self) -> dict:
+        """The two-input operator of each tape opcode (not OP_COPY)."""
+        return {
+            OP_SUM: self.add,
+            OP_PRODUCT: self.multiply,
+            OP_MAX: self.maximum,
+        }
+
+
+class FixedWordKernel(_WordKernel):
     """Bit-exact vectorized fixed-point operator semantics on int64 words.
 
-    The operator core shared by :class:`FixedPointBatchExecutor` (tape
-    sweeps) and the hardware stream simulator
+    The operator core of :class:`WordBatchExecutor` (tape sweeps) and
+    the hardware stream simulator
     (:class:`repro.hw.stream.StreamSimulator`): exact 2F-fraction
     products rounded back to F bits, exact sums, and the scalar
     backend's overflow-raising semantics. Valid for every format with
     ``2·(I+F) ≤ 62`` so products stay exact in int64 lanes.
     """
+
+    planes = 1
 
     def __init__(self, fmt: FixedPointFormat) -> None:
         if not fmt.fits_int64_products:
@@ -454,11 +490,9 @@ class FixedWordKernel:
             )
         self.fmt = fmt
         self.max_mantissa = fmt.max_mantissa
-        self.one_word = np.int64(FixedPointBackend(fmt).one().mantissa)
-
-    def encode_params(self, values: Sequence[float]) -> np.ndarray:
-        """Quantize real parameter values to int64 mantissa words."""
-        return self.encode_param_matrix(np.asarray(values)[None])[:, 0]
+        self.one_planes = np.array(
+            [FixedPointBackend(fmt).one().mantissa], dtype=np.int64
+        )
 
     def encode_param_matrix(self, theta: np.ndarray) -> np.ndarray:
         """Quantize an ``(n_theta, n_params)`` θ batch in whole-array ops.
@@ -499,22 +533,21 @@ class FixedWordKernel:
             # there is nothing to round (1 << (F-1) below would be
             # ill-defined).
             return products
-        quotient = products >> fraction_bits
-        remainder = products & ((1 << fraction_bits) - 1)
         mode = self.fmt.rounding
         if mode is RoundingMode.TRUNCATE:
-            return quotient
+            return products >> fraction_bits
+        # Adding half (or, for ties-to-even, half - 1 plus the quotient's
+        # parity) before the shift rounds in one pass; products < 2^62
+        # leave room for the addend.
         half = 1 << (fraction_bits - 1)
         if mode is RoundingMode.NEAREST_UP:
-            return quotient + (remainder >= half)
-        round_up = (remainder > half) | (
-            (remainder == half) & ((quotient & 1) == 1)
-        )
-        return quotient + round_up
+            return (products + half) >> fraction_bits
+        odd = (products >> fraction_bits) & 1
+        return (products + (half - 1) + odd) >> fraction_bits
 
-    def check(self, result: np.ndarray, where: str = "operator") -> np.ndarray:
+    def check(self, result: np.ndarray, where: str) -> np.ndarray:
         """Overflow-check an op result, like the scalar backend raises."""
-        if result.max(initial=0) > self.max_mantissa:
+        if result.size and result.max() > self.max_mantissa:
             raise FixedPointOverflowError(
                 f"overflow at {where} in {self.fmt.describe()}"
             )
@@ -530,187 +563,27 @@ class FixedWordKernel:
     def maximum(self, a: np.ndarray, b: np.ndarray, where: str = "max"):
         return self.check(np.maximum(a, b), where)
 
-    def to_real(self, words: np.ndarray) -> np.ndarray:
+    # -- conversions ----------------------------------------------------
+    def planes_of(self, words: np.ndarray) -> np.ndarray:
+        return np.asarray(words)[None]
+
+    def words_of(self, planes: np.ndarray) -> np.ndarray:
+        return planes[0]
+
+    def real(self, planes: np.ndarray) -> np.ndarray:
         """Float64 values of mantissa words."""
-        return words * 2.0 ** (-self.fmt.fraction_bits)
+        return planes[0] * 2.0 ** (-self.fmt.fraction_bits)
+
+    def pack_planes(self, planes: np.ndarray) -> np.ndarray:
+        """Storage words: a fixed-point word is its mantissa."""
+        return planes[0]
 
 
-class FixedPointBatchExecutor:
-    """Exact batched fixed-point evaluation on numpy int64 mantissas.
+class FloatWordKernel(_WordKernel):
+    """Bit-exact vectorized float operator semantics on (m, e) planes.
 
-    Bit-identical to the scalar big-int backend for every format with
-    ``2·(I+F) ≤ 62`` (so 2F-fraction products stay exact in int64),
-    including ``F = 0`` formats, every rounding mode, and the
-    overflow-raising semantics. Operator semantics live in the shared
-    :class:`FixedWordKernel`.
-    """
-
-    def __init__(
-        self,
-        tape: Tape,
-        fmt: FixedPointFormat,
-        encoder: EvidenceEncoder | None = None,
-    ) -> None:
-        _require_binary_tape(tape)
-        self._kernel = FixedWordKernel(fmt)
-        self.tape = tape
-        self.fmt = fmt
-        self.encoder = encoder or EvidenceEncoder.for_tape(tape)
-        # Quantize the deduplicated parameter table once, exactly.
-        self._param_words = self._kernel.encode_params(tape.param_values)
-        self._one_word = self._kernel.one_word
-
-    def _round_products(self, products: np.ndarray) -> np.ndarray:
-        return self._kernel.round_products(products)
-
-    def _checked(self, result: np.ndarray, dest: int) -> np.ndarray:
-        return self._kernel.check(result, f"slot {dest}")
-
-    def encode_theta(self, theta: np.ndarray) -> np.ndarray:
-        """Per-row quantized parameter tables for a θ batch.
-
-        Returns the lane-major ``(n_params, n_theta)`` int64 word matrix
-        to pass as ``param_words`` — quantized once per batch, reusable
-        across forward and backward sweeps.
-        """
-        return self._kernel.encode_param_matrix(theta)
-
-    def _forward_slot_words(
-        self,
-        evidence_batch: Sequence[Mapping[str, int]],
-        strict: bool,
-        param_words: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Mantissa words of *all* slots, shape ``(num_slots, batch)``."""
-        tape = self.tape
-        active = self.encoder.encode(evidence_batch, strict=strict)
-        slots = np.zeros((tape.num_slots, len(evidence_batch)), dtype=np.int64)
-        if param_words is None:
-            slots[tape.param_slots] = self._param_words[tape.param_ids][:, None]
-        else:
-            slots[tape.param_slots] = param_words[tape.param_ids]
-        slots[tape.indicator_slots] = np.where(active, self._one_word, 0)
-        for opcode, dest, left, right in tape.op_tuples:
-            if opcode == OP_SUM:
-                result = slots[left] + slots[right]
-            elif opcode == OP_PRODUCT:
-                result = self._round_products(slots[left] * slots[right])
-            elif opcode == OP_MAX:
-                result = np.maximum(slots[left], slots[right])
-            else:  # OP_COPY
-                slots[dest] = slots[left]
-                continue
-            slots[dest] = self._checked(result, dest)
-        return slots
-
-    def evaluate_batch_words(
-        self,
-        evidence_batch: Sequence[Mapping[str, int]],
-        strict: bool = False,
-        param_words: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Root mantissa words, shape ``(batch,)`` int64.
-
-        Raises :class:`FixedPointOverflowError` if any intermediate
-        exceeds the representable range, exactly like the scalar backend.
-        ``param_words`` (from :meth:`encode_theta`) seeds per-lane
-        quantized parameter tables for θ-batch replays.
-        """
-        root = self.tape.require_root()
-        batch = len(evidence_batch)
-        if batch == 0:
-            return np.empty(0, dtype=np.int64)
-        return self._forward_slot_words(
-            evidence_batch, strict, param_words
-        )[root].copy()
-
-    def evaluate_batch(
-        self,
-        evidence_batch: Sequence[Mapping[str, int]],
-        strict: bool = False,
-        param_words: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Float64 values of the root word for a whole batch."""
-        words = self.evaluate_batch_words(
-            evidence_batch, strict=strict, param_words=param_words
-        )
-        return words * 2.0 ** (-self.fmt.fraction_bits)
-
-    # -- backward (derivative) sweep ------------------------------------
-    def partials_batch_words(
-        self,
-        evidence_batch: Sequence[Mapping[str, int]],
-        strict: bool = False,
-        param_words: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Quantized ``(values, partials)`` mantissa words per node.
-
-        Both arrays have shape ``(num_nodes, batch)``. The backward
-        sweep applies the product rule in the emulated fixed-point
-        arithmetic — one rounded multiply and one checked add per
-        adjoint contribution — bit-identical to replaying
-        :meth:`QuantizedTapeEvaluator.partials` with the big-int
-        :class:`~repro.arith.fixedpoint.FixedPointBackend`.
-        ``param_words`` (from :meth:`encode_theta`) seeds per-lane
-        quantized parameter tables for θ-batch replays.
-        """
-        tape = self.tape
-        tape.require_differentiable()
-        root = tape.require_root()
-        batch = len(evidence_batch)
-        if batch == 0:
-            empty = np.empty((tape.num_nodes, 0), dtype=np.int64)
-            return empty, empty.copy()
-        slots = self._forward_slot_words(evidence_batch, strict, param_words)
-        adjoints = np.zeros((tape.num_slots, batch), dtype=np.int64)
-        adjoints[root] = self._one_word
-        for opcode, dest, left, right in tape.backward.op_tuples:
-            seed = adjoints[dest]
-            if opcode == OP_SUM:
-                adjoints[left] = self._checked(adjoints[left] + seed, left)
-                adjoints[right] = self._checked(adjoints[right] + seed, right)
-            elif opcode == OP_PRODUCT:
-                contribution = self._checked(
-                    self._round_products(seed * slots[right]), left
-                )
-                adjoints[left] = self._checked(
-                    adjoints[left] + contribution, left
-                )
-                contribution = self._checked(
-                    self._round_products(seed * slots[left]), right
-                )
-                adjoints[right] = self._checked(
-                    adjoints[right] + contribution, right
-                )
-            else:  # OP_COPY
-                adjoints[left] = self._checked(adjoints[left] + seed, left)
-        return (
-            slots[: tape.num_nodes].copy(),
-            adjoints[: tape.num_nodes].copy(),
-        )
-
-    def partials_batch(
-        self,
-        evidence_batch: Sequence[Mapping[str, int]],
-        strict: bool = False,
-        param_words: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Float64 ``(values, partials)`` per node for a whole batch."""
-        values, partials = self.partials_batch_words(
-            evidence_batch, strict=strict, param_words=param_words
-        )
-        scale = 2.0 ** (-self.fmt.fraction_bits)
-        return values * scale, partials * scale
-
-
-# ----------------------------------------------------------------------
-# Vectorized floating point (new in the engine)
-# ----------------------------------------------------------------------
-class FloatWordKernel:
-    """Bit-exact vectorized float operator semantics on (m, e) pairs.
-
-    The operator core shared by :class:`FloatBatchExecutor` (tape
-    sweeps) and the hardware stream simulator
+    The operator core of :class:`WordBatchExecutor` (tape sweeps) and
+    the hardware stream simulator
     (:class:`repro.hw.stream.StreamSimulator`). Implements §3.1.2
     operator semantics — exact integer-mantissa arithmetic with exactly
     one rounding per operator — vectorized with numpy, bit-identical to
@@ -722,8 +595,11 @@ class FloatWordKernel:
     exactly like the exact big-int sum.
 
     Zeros are (0, 0) pairs, masked through every operator like the
-    scalar backend's ``is_zero`` short-circuits.
+    scalar backend's ``is_zero`` short-circuits. Float messages name the
+    format, not the operator site, so ``where`` is unused.
     """
+
+    planes = 2
 
     #: Guard window for addition alignment (≥ 2 keeps sticky sound; 3
     #: mirrors hardware guard/round/sticky).
@@ -738,16 +614,7 @@ class FloatWordKernel:
             )
         self.fmt = fmt
         one = FloatBackend(fmt).one()
-        self.one = (np.int64(one.mantissa), np.int64(one.exponent))
-
-    def encode_params(
-        self, values: Sequence[float]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Quantize real parameter values to (mantissa, exponent) arrays."""
-        mantissas, exponents = self.encode_param_matrix(
-            np.asarray(values)[None]
-        )
-        return mantissas[:, 0], exponents[:, 0]
+        self.one_planes = np.array([one.mantissa, one.exponent], dtype=np.int64)
 
     def encode_param_matrix(
         self, theta: np.ndarray
@@ -801,27 +668,29 @@ class FloatWordKernel:
         scale: np.ndarray,
         excess_no_carry,
         live,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """Round ``value · 2^scale`` to the format (one rounding).
 
         ``value`` is known to have either ``M+1+excess_no_carry`` or one
         more significant bits (unsigned add/multiply never cancels);
         ``excess_no_carry`` may be a scalar or a per-lane array. ``live``
         marks lanes whose result is genuinely used (scalar True when all
-        are); only live lanes can raise overflow/underflow.
+        are); only live lanes can raise overflow/underflow. Returns the
+        ``(m, e)`` plane stack.
         """
         mantissa_bits = self.fmt.mantissa_bits
         target = mantissa_bits + 1
         carry = value >= (np.int64(1) << (target + excess_no_carry))
         shift = excess_no_carry + carry
         rounded = _round_shift_words(value, shift, self.fmt.rounding)
-        scale = scale + shift
         # Rounding may carry into a new MSB (all-ones mantissa); the
         # result is then a power of two, so halving is exact.
-        overflowed = rounded >> target > 0
-        rounded = np.where(overflowed, rounded >> 1, rounded)
-        scale = scale + overflowed
-        exponent = scale + mantissa_bits
+        overflowed = rounded >> target
+        result = np.empty((2,) + rounded.shape, dtype=np.int64)
+        np.right_shift(rounded, overflowed, out=result[0])
+        exponent = np.add(
+            scale + shift + mantissa_bits, overflowed, out=result[1]
+        )
         if bool((live & (exponent > self.fmt.max_exponent)).any()):
             raise FloatOverflowError(
                 f"overflow in {self.fmt.describe()}: exponent exceeds "
@@ -833,16 +702,17 @@ class FloatWordKernel:
                 f"{self.fmt.min_exponent}; min-value analysis should pick "
                 f"E large enough"
             )
-        return rounded, exponent
+        return result
 
     # -- operators ------------------------------------------------------
-    def add(self, ma, ea, mb, eb):
+    def add(self, a: np.ndarray, b: np.ndarray, where: str = "adder"):
+        ma, ea, mb, eb = a[0], a[1], b[0], b[1]
         zero_a, zero_b = ma == 0, mb == 0
         any_zero = bool(zero_a.any()) or bool(zero_b.any())
         if any_zero:
             # Dummy-substitute zero lanes so the shared path stays in
             # range (1+1 can neither overflow nor underflow any format).
-            one_m, one_e = self.one
+            one_m, one_e = self.one_planes
             MA = np.where(zero_a, one_m, ma)
             EA = np.where(zero_a, one_e, ea)
             MB = np.where(zero_b, one_m, mb)
@@ -864,18 +734,18 @@ class FloatWordKernel:
         lo_c = (lo_m >> capped) | sticky
         total = (hi_m << window) + lo_c
         scale = lo_e - mantissa_bits + shift
-        res_m, res_e = self._normalize(total, scale, window, live)
+        result = self._normalize(total, scale, window, live)
         if any_zero:
-            res_m = np.where(zero_a, mb, np.where(zero_b, ma, res_m))
-            res_e = np.where(zero_a, eb, np.where(zero_b, ea, res_e))
-        return res_m, res_e
+            result = np.where(zero_a, b, np.where(zero_b, a, result))
+        return result
 
-    def multiply(self, ma, ea, mb, eb):
+    def multiply(self, a: np.ndarray, b: np.ndarray, where: str = "multiplier"):
+        ma, ea, mb, eb = a[0], a[1], b[0], b[1]
         zero = (ma == 0) | (mb == 0)
         any_zero = bool(zero.any())
         mantissa_bits = self.fmt.mantissa_bits
         if any_zero:
-            one_m, one_e = self.one
+            one_m, one_e = self.one_planes
             product = np.where(zero, one_m, ma) * np.where(zero, one_m, mb)
             scale = (
                 np.where(zero, one_e, ea)
@@ -888,27 +758,43 @@ class FloatWordKernel:
             scale = ea + eb - 2 * mantissa_bits
             live = True
         # excess_no_carry is the scalar M for every multiply lane.
-        res_m, res_e = self._normalize(product, scale, mantissa_bits, live)
+        result = self._normalize(product, scale, mantissa_bits, live)
         if any_zero:
-            res_m = np.where(zero, 0, res_m)
-            res_e = np.where(zero, 0, res_e)
-        return res_m, res_e
+            result = np.where(zero, 0, result)
+        return result
 
-    def maximum(self, ma, ea, mb, eb):
-        zero_a, zero_b = ma == 0, mb == 0
-        a_wins = ~zero_a & (
-            zero_b | (ea > eb) | ((ea == eb) & (ma >= mb))
+    def maximum(self, a: np.ndarray, b: np.ndarray, where: str = "max"):
+        ma, ea, mb, eb = a[0], a[1], b[0], b[1]
+        a_wins = (ma != 0) & (
+            (mb == 0) | (ea > eb) | ((ea == eb) & (ma >= mb))
         )
-        return np.where(a_wins, ma, mb), np.where(a_wins, ea, eb)
+        return np.where(a_wins, a, b)
 
     # -- conversions ----------------------------------------------------
-    def pack(self, mantissas: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-        """Pack (m, e) pairs into (E|M) storage words, zero → 0.
+    def planes_of(
+        self, words: tuple[np.ndarray, np.ndarray]
+    ) -> np.ndarray:
+        return np.stack(words)
+
+    def words_of(self, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return planes[0], planes[1]
+
+    def real(self, planes: np.ndarray) -> np.ndarray:
+        """Float64 values of (m, e) planes."""
+        mantissas, exponents = planes
+        return np.ldexp(
+            mantissas.astype(np.float64),
+            (exponents - self.fmt.mantissa_bits).astype(np.int32),
+        )
+
+    def pack_planes(self, planes: np.ndarray) -> np.ndarray:
+        """Pack (m, e) planes into (E|M) storage words, zero → 0.
 
         Vectorized :func:`repro.hw.netlist.pack_float_word`: biased
         exponent in the high E bits (0 encodes zero), hidden-bit-stripped
         fraction in the low M bits.
         """
+        mantissas, exponents = planes
         mantissa_bits = self.fmt.mantissa_bits
         biased = exponents + self.fmt.bias
         fraction = mantissas - (np.int64(1) << mantissa_bits)
@@ -916,219 +802,193 @@ class FloatWordKernel:
             mantissas == 0, 0, (biased << mantissa_bits) | fraction
         )
 
-    def to_real(self, mantissas: np.ndarray, exponents: np.ndarray):
-        """Float64 values of (m, e) pairs."""
-        return np.ldexp(
-            mantissas.astype(np.float64),
-            (exponents - self.fmt.mantissa_bits).astype(np.int32),
-        )
+
+def word_kernel_for(fmt: FixedPointFormat | FloatFormat) -> _WordKernel:
+    """The int64 word kernel of a format (``ValueError`` when too wide)."""
+    if isinstance(fmt, FixedPointFormat):
+        return FixedWordKernel(fmt)
+    return FloatWordKernel(fmt)
 
 
-class FloatBatchExecutor:
-    """Exact batched float emulation on (mantissa, exponent) int64 pairs.
+# ----------------------------------------------------------------------
+# Vectorized quantized tape sweeps
+# ----------------------------------------------------------------------
+class WordBatchExecutor:
+    """Exact batched quantized evaluation on int64 word planes.
 
-    The tape-sweep front end of :class:`FloatWordKernel` (see its
-    docstring for the operator semantics and exactness argument); this
-    is new in the engine — the seed had no vectorized float path, so
-    float sweeps paid the scalar big-int loop for every instance.
+    One forward and one backward tape sweep serve both arithmetics: the
+    format picks a :class:`FixedWordKernel` (int64 mantissas) or a
+    :class:`FloatWordKernel` ((mantissa, exponent) pairs), which owns the
+    operator semantics. Bit-identical to the scalar big-int backends
+    (:class:`~repro.arith.fixedpoint.FixedPointBackend`,
+    :class:`~repro.arith.floatingpoint.FloatBackend`) — every rounding
+    mode, ``F = 0`` formats and the overflow/underflow exceptions
+    included — whenever the format's ``fits_int64_products`` holds;
+    wider formats raise ``ValueError`` so callers can fall back.
+
+    Words keep the kernels' public shapes: fixed-point words are int64
+    arrays, float words ``(mantissa, exponent)`` array pairs.
     """
 
     def __init__(
         self,
         tape: Tape,
-        fmt: FloatFormat,
+        fmt: FixedPointFormat | FloatFormat,
         encoder: EvidenceEncoder | None = None,
     ) -> None:
         _require_binary_tape(tape)
-        kernel = FloatWordKernel(fmt)
+        kernel = word_kernel_for(fmt)
         self._kernel = kernel
         self.tape = tape
         self.fmt = fmt
         self.encoder = encoder or EvidenceEncoder.for_tape(tape)
-        self._param_mantissas, self._param_exponents = kernel.encode_params(
-            tape.param_values
-        )
-        self._one = kernel.one
-        self._add = kernel.add
-        self._multiply = kernel.multiply
-        self._maximum = kernel.maximum
+        # Quantize the deduplicated parameter table once, exactly.
+        self._param_table = kernel.planes_of(
+            kernel.encode_params(tape.param_values)
+        ).T
 
-    def encode_theta(
-        self, theta: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def encode_theta(self, theta: np.ndarray):
         """Per-row quantized parameter tables for a θ batch.
 
-        Returns the lane-major ``(n_params, n_theta)`` int64 ``(m, e)``
-        word matrix pair to pass as ``param_words`` — quantized once per
-        batch, reusable across forward and backward sweeps.
+        Returns the lane-major ``(n_params, n_theta)`` words — an int64
+        matrix for fixed point, an ``(m, e)`` matrix pair for float — to
+        pass as ``param_words``: quantized once per batch, reusable
+        across forward and backward sweeps.
         """
         return self._kernel.encode_param_matrix(theta)
 
-    # -- evaluation -----------------------------------------------------
-    def _forward_word_slots(
+    def _forward_planes(
         self,
         evidence_batch: Sequence[Mapping[str, int]],
         strict: bool,
-        param_words: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(mantissas, exponents)`` of all slots, ``(num_slots, batch)``."""
-        tape = self.tape
+        param_words=None,
+    ) -> np.ndarray:
+        """Word planes of *all* slots, ``(planes, num_slots, batch)``.
+
+        The sweep stores slots slot-major, so each operand word stack is
+        one integer index; the result is a planes-first view of that.
+        """
+        tape, kernel = self.tape, self._kernel
         active = self.encoder.encode(evidence_batch, strict=strict)
-        batch = len(evidence_batch)
-        mantissas = np.zeros((tape.num_slots, batch), dtype=np.int64)
-        exponents = np.zeros((tape.num_slots, batch), dtype=np.int64)
+        slots = np.zeros(
+            (tape.num_slots, kernel.planes, len(evidence_batch)),
+            dtype=np.int64,
+        )
         if param_words is None:
-            mantissas[tape.param_slots] = self._param_mantissas[
-                tape.param_ids
-            ][:, None]
-            exponents[tape.param_slots] = self._param_exponents[
-                tape.param_ids
-            ][:, None]
+            table = self._param_table[:, :, None]
         else:
-            word_m, word_e = param_words
-            mantissas[tape.param_slots] = word_m[tape.param_ids]
-            exponents[tape.param_slots] = word_e[tape.param_ids]
-        one_m, one_e = self._one
-        mantissas[tape.indicator_slots] = np.where(active, one_m, 0)
-        exponents[tape.indicator_slots] = np.where(active, one_e, 0)
-        for opcode, dest, left, right in tape.op_tuples:
-            if opcode == OP_SUM:
-                m, e = self._add(
-                    mantissas[left], exponents[left],
-                    mantissas[right], exponents[right],
+            table = kernel.planes_of(param_words).transpose(1, 0, 2)
+        slots[tape.param_slots] = table[tape.param_ids]
+        slots[tape.indicator_slots] = np.where(
+            active[:, None], kernel.one_planes[:, None], 0
+        )
+        operators = kernel.operators
+        # A zero-lane batch has nothing to sweep; only its shapes matter.
+        forward = tape.op_tuples if slots.size else ()
+        for opcode, dest, left, right in forward:
+            if opcode == OP_COPY:
+                slots[dest] = slots[left]
+            else:
+                slots[dest] = operators[opcode](
+                    slots[left], slots[right], f"slot {dest}"
                 )
-            elif opcode == OP_PRODUCT:
-                m, e = self._multiply(
-                    mantissas[left], exponents[left],
-                    mantissas[right], exponents[right],
-                )
-            elif opcode == OP_MAX:
-                m, e = self._maximum(
-                    mantissas[left], exponents[left],
-                    mantissas[right], exponents[right],
-                )
-            else:  # OP_COPY
-                m, e = mantissas[left], exponents[left]
-            mantissas[dest] = m
-            exponents[dest] = e
-        return mantissas, exponents
+        return slots.transpose(1, 0, 2)
+
+    def _partials_planes(
+        self,
+        evidence_batch: Sequence[Mapping[str, int]],
+        strict: bool,
+        param_words=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Value and adjoint planes per node, ``(planes, num_nodes, batch)``.
+
+        The backward sweep runs in the emulated arithmetic — one rounded
+        multiply and one rounded add per adjoint contribution — exactly
+        what :meth:`QuantizedTapeEvaluator.partials` does with the
+        big-int backend.
+        """
+        tape, kernel = self.tape, self._kernel
+        tape.require_differentiable()
+        root = tape.require_root()
+        planes = self._forward_planes(evidence_batch, strict, param_words)
+        slots = planes.transpose(1, 0, 2)  # slot-major, like the sweep
+        adjoints = np.zeros_like(slots)
+        adjoints[root] = kernel.one_planes[:, None]
+        add, multiply = kernel.add, kernel.multiply
+        backward = tape.backward.op_tuples if slots.size else ()
+        for opcode, dest, left, right in backward:
+            seed = adjoints[dest]
+            if opcode == OP_PRODUCT:
+                where = f"slot {left}"
+                contribution = multiply(seed, slots[right], where)
+                adjoints[left] = add(adjoints[left], contribution, where)
+                where = f"slot {right}"
+                contribution = multiply(seed, slots[left], where)
+                adjoints[right] = add(adjoints[right], contribution, where)
+            else:  # OP_SUM / OP_COPY: adjoints flow through unscaled
+                adjoints[left] = add(adjoints[left], seed, f"slot {left}")
+                if opcode == OP_SUM:
+                    adjoints[right] = add(
+                        adjoints[right], seed, f"slot {right}"
+                    )
+        n = tape.num_nodes
+        return planes[:, :n], adjoints[:n].transpose(1, 0, 2)
 
     def evaluate_batch_words(
         self,
         evidence_batch: Sequence[Mapping[str, int]],
         strict: bool = False,
-        param_words: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Root ``(mantissas, exponents)`` pairs, each shape ``(batch,)``.
+        param_words=None,
+    ):
+        """Root words, each array of shape ``(batch,)``.
 
-        ``param_words`` (from :meth:`encode_theta`) seeds per-lane
-        quantized parameter tables for θ-batch replays.
+        Raises the scalar backend's overflow/underflow exception if any
+        intermediate leaves the format's range. ``param_words`` (from
+        :meth:`encode_theta`) seeds per-lane quantized parameter tables
+        for θ-batch replays.
         """
         root = self.tape.require_root()
-        if len(evidence_batch) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        mantissas, exponents = self._forward_word_slots(
-            evidence_batch, strict, param_words
-        )
-        return mantissas[root].copy(), exponents[root].copy()
-
-    # -- backward (derivative) sweep ------------------------------------
-    def partials_batch_words(
-        self,
-        evidence_batch: Sequence[Mapping[str, int]],
-        strict: bool = False,
-        param_words: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[
-        tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]
-    ]:
-        """Quantized values and partials as ``(mantissa, exponent)`` pairs.
-
-        Returns ``((value_m, value_e), (partial_m, partial_e))``, each
-        array of shape ``(num_nodes, batch)``. The backward sweep runs
-        entirely in the emulated float arithmetic — one rounded multiply
-        plus one rounded add per adjoint contribution — bit-identical to
-        :meth:`QuantizedTapeEvaluator.partials` with the big-int
-        :class:`~repro.arith.floatingpoint.FloatBackend`.
-        ``param_words`` (from :meth:`encode_theta`) seeds per-lane
-        quantized parameter tables for θ-batch replays.
-        """
-        tape = self.tape
-        tape.require_differentiable()
-        root = tape.require_root()
-        batch = len(evidence_batch)
-        if batch == 0:
-            empty = np.empty((tape.num_nodes, 0), dtype=np.int64)
-            return (empty, empty.copy()), (empty.copy(), empty.copy())
-        mantissas, exponents = self._forward_word_slots(
-            evidence_batch, strict, param_words
-        )
-        adj_m = np.zeros((tape.num_slots, batch), dtype=np.int64)
-        adj_e = np.zeros((tape.num_slots, batch), dtype=np.int64)
-        one_m, one_e = self._one
-        adj_m[root] = one_m
-        adj_e[root] = one_e
-        for opcode, dest, left, right in tape.backward.op_tuples:
-            seed_m, seed_e = adj_m[dest], adj_e[dest]
-            if opcode == OP_PRODUCT:
-                contrib_m, contrib_e = self._multiply(
-                    seed_m, seed_e, mantissas[right], exponents[right]
-                )
-                m, e = self._add(
-                    adj_m[left], adj_e[left], contrib_m, contrib_e
-                )
-                adj_m[left], adj_e[left] = m, e
-                contrib_m, contrib_e = self._multiply(
-                    seed_m, seed_e, mantissas[left], exponents[left]
-                )
-                m, e = self._add(
-                    adj_m[right], adj_e[right], contrib_m, contrib_e
-                )
-                adj_m[right], adj_e[right] = m, e
-            else:  # OP_SUM / OP_COPY: adjoints flow through unscaled
-                m, e = self._add(adj_m[left], adj_e[left], seed_m, seed_e)
-                adj_m[left], adj_e[left] = m, e
-                if opcode == OP_SUM:
-                    m, e = self._add(
-                        adj_m[right], adj_e[right], seed_m, seed_e
-                    )
-                    adj_m[right], adj_e[right] = m, e
-        n = tape.num_nodes
-        return (
-            (mantissas[:n].copy(), exponents[:n].copy()),
-            (adj_m[:n].copy(), adj_e[:n].copy()),
-        )
-
-    def partials_batch(
-        self,
-        evidence_batch: Sequence[Mapping[str, int]],
-        strict: bool = False,
-        param_words: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Float64 ``(values, partials)`` per node for a whole batch."""
-        (value_m, value_e), (adj_m, adj_e) = self.partials_batch_words(
-            evidence_batch, strict=strict, param_words=param_words
-        )
-        shift = self.fmt.mantissa_bits
-        values = np.ldexp(
-            value_m.astype(np.float64), (value_e - shift).astype(np.int32)
-        )
-        partials = np.ldexp(
-            adj_m.astype(np.float64), (adj_e - shift).astype(np.int32)
-        )
-        return values, partials
+        planes = self._forward_planes(evidence_batch, strict, param_words)
+        return self._kernel.words_of(planes[:, root].copy())
 
     def evaluate_batch(
         self,
         evidence_batch: Sequence[Mapping[str, int]],
         strict: bool = False,
-        param_words: tuple[np.ndarray, np.ndarray] | None = None,
+        param_words=None,
     ) -> np.ndarray:
-        """Float64 values of the root for a whole batch."""
-        mantissas, exponents = self.evaluate_batch_words(
-            evidence_batch, strict=strict, param_words=param_words
+        """Float64 values of the root word for a whole batch."""
+        root = self.tape.require_root()
+        planes = self._forward_planes(evidence_batch, strict, param_words)
+        return self._kernel.real(planes[:, root])
+
+    def partials_batch_words(
+        self,
+        evidence_batch: Sequence[Mapping[str, int]],
+        strict: bool = False,
+        param_words=None,
+    ):
+        """Quantized ``(values, partials)`` words per node.
+
+        Each array has shape ``(num_nodes, batch)``; bit-identical to
+        :meth:`QuantizedTapeEvaluator.partials` with the big-int backend.
+        ``param_words`` (from :meth:`encode_theta`) seeds per-lane
+        quantized parameter tables for θ-batch replays.
+        """
+        values, partials = self._partials_planes(
+            evidence_batch, strict, param_words
         )
-        return np.ldexp(
-            mantissas.astype(np.float64),
-            (exponents - self.fmt.mantissa_bits).astype(np.int32),
+        words_of = self._kernel.words_of
+        return words_of(values.copy()), words_of(partials.copy())
+
+    def partials_batch(
+        self,
+        evidence_batch: Sequence[Mapping[str, int]],
+        strict: bool = False,
+        param_words=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Float64 ``(values, partials)`` per node for a whole batch."""
+        values, partials = self._partials_planes(
+            evidence_batch, strict, param_words
         )
+        return self._kernel.real(values), self._kernel.real(partials)

@@ -77,7 +77,7 @@ class _FixedProgram:
         )
         self.frac_bits = int(fmt.fraction_bits)
         self.max_word = int(fmt.max_mantissa)
-        self.one_word = int(self.kernel.one_word)
+        self.one_word = int(self.kernel.one_planes[0])
         self.rounding = _ROUNDING_CODE[fmt.rounding]
 
 
@@ -93,7 +93,7 @@ class _FloatProgram:
         self.mantissa_bits = int(fmt.mantissa_bits)
         self.min_exponent = int(fmt.min_exponent)
         self.max_exponent = int(fmt.max_exponent)
-        one_m, one_e = self.kernel.one
+        one_m, one_e = self.kernel.one_planes
         self.one_m = int(one_m)
         self.one_e = int(one_e)
         self.rounding = _ROUNDING_CODE[fmt.rounding]

@@ -15,11 +15,11 @@ formats.
 
 Backend dispatch is a runtime policy: ``backend="auto"`` (the default,
 overridable via ``PROBLP_BACKEND``) compiles the tape's fused C kernels
-(:mod:`repro.engine.native`) at first use and serves float64 and
-int64-fixed-point sweeps from them, falling back to the numpy executors
-whenever the native toolchain is unavailable; ``backend="numpy"`` pins
-the numpy executors; ``backend="native"`` insists but still degrades
-gracefully (the fallback reason is kept on
+(:mod:`repro.engine.native`) at first use and serves float64, int64
+fixed-point and int64 float-emulation sweeps from them, falling back to
+the numpy executors whenever the native toolchain is unavailable;
+``backend="numpy"`` pins the numpy executors; ``backend="native"``
+insists but still degrades gracefully (the fallback reason is kept on
 :attr:`InferenceSession.backend_fallback_reason`). Results are
 bit-identical across backends — the numpy executors stay the
 differential oracle.
@@ -38,9 +38,8 @@ from ..arith.floatingpoint import FloatBackend, FloatFormat
 from .analysis import TapeAnalysis, tape_analysis_for
 from .encoder import EvidenceEncoder
 from .executors import (
-    FixedPointBatchExecutor,
-    FloatBatchExecutor,
     QuantizedTapeEvaluator,
+    WordBatchExecutor,
     _require_binary_tape,
     execute_batch,
     execute_partials,
@@ -141,8 +140,7 @@ class InferenceSession:
         # evaluator (built on first quantized call: quantized evaluation
         # demands a binary circuit, exact float64 serving works on any
         # tape) and the marginal index share the singleton memo.
-        self._fixed_batch: KeyedMemo = KeyedMemo()
-        self._float_batch: KeyedMemo = KeyedMemo()
+        self._executors: KeyedMemo = KeyedMemo()
         self._backends: KeyedMemo = KeyedMemo()
         self._singletons: KeyedMemo = KeyedMemo()
         # The most recent dispatch that had to leave native despite it
@@ -532,13 +530,8 @@ class InferenceSession:
         # KeyedMemo builds outside its lock (construction encodes the
         # whole parameter table) so first touches of different formats
         # build in parallel; same-format racers converge on one install.
-        if isinstance(fmt, FixedPointFormat):
-            return self._fixed_batch.get(
-                fmt,
-                lambda: FixedPointBatchExecutor(self.tape, fmt, self.encoder),
-            )
-        return self._float_batch.get(
-            fmt, lambda: FloatBatchExecutor(self.tape, fmt, self.encoder)
+        return self._executors.get(
+            fmt, lambda: WordBatchExecutor(self.tape, fmt, self.encoder)
         )
 
     def evaluate_quantized(

@@ -31,11 +31,10 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..arith.fixedpoint import FixedPointBackend
-from ..arith.floatingpoint import FloatBackend
 from ..engine.encoder import EvidenceEncoder
-from ..engine.executors import FixedWordKernel, FloatWordKernel
-from ..engine.tape import OP_MAX, OP_PRODUCT, OP_SUM
+from ..engine.executors import word_kernel_for
+from ..engine.session import backend_for_format
+from ..engine.tape import OP_COPY, OP_MAX, OP_PRODUCT, OP_SUM
 from .netlist import HardwareDesign, pack_float_word
 
 
@@ -51,24 +50,12 @@ class StreamSimulator:
         self.vectorized = bool(design.fmt.fits_int64_products)
         if not self.vectorized:
             # Wide-format fallback: scalar big-int program walks.
-            self._backend = (
-                FixedPointBackend(design.fmt)
-                if design.is_fixed
-                else FloatBackend(design.fmt)
-            )
+            self._backend = backend_for_format(design.fmt)
             return
-        if design.is_fixed:
-            kernel = FixedWordKernel(design.fmt)
-            self._kernel = kernel
-            self._param_words = kernel.encode_params(
-                self.program.param_values
-            )
-        else:
-            kernel = FloatWordKernel(design.fmt)
-            self._kernel = kernel
-            self._param_m, self._param_e = kernel.encode_params(
-                self.program.param_values
-            )
+        self._kernel = word_kernel_for(design.fmt)
+        self._param_planes = self._kernel.planes_of(
+            self._kernel.encode_params(self.program.param_values)
+        )
 
     # ------------------------------------------------------------------
     # Core replay
@@ -92,14 +79,8 @@ class StreamSimulator:
             # Object dtype: wide-format words overflow int64 by design.
             words, _ = self._scalar_outputs(evidence_batch, strict)
             return words
-        if self.design.is_fixed:
-            slots = self._fixed_planes(evidence_batch, strict)
-            return slots[self.program.output_slots].copy()
-        mantissas, exponents = self._float_planes(evidence_batch, strict)
-        outputs = self.program.output_slots
-        return np.asarray(
-            self._kernel.pack(mantissas[outputs], exponents[outputs])
-        )
+        planes = self._planes(evidence_batch, strict)
+        return self._kernel.pack_planes(planes[:, self.program.output_slots])
 
     def output_values(
         self,
@@ -112,72 +93,33 @@ class StreamSimulator:
         if not self.vectorized:
             _, values = self._scalar_outputs(evidence_batch, strict)
             return values
-        if self.design.is_fixed:
-            slots = self._fixed_planes(evidence_batch, strict)
-            return self._kernel.to_real(slots[self.program.output_slots])
-        mantissas, exponents = self._float_planes(evidence_batch, strict)
-        outputs = self.program.output_slots
-        return self._kernel.to_real(mantissas[outputs], exponents[outputs])
+        planes = self._planes(evidence_batch, strict)
+        return self._kernel.real(planes[:, self.program.output_slots])
 
-    def _fixed_planes(self, evidence_batch, strict) -> np.ndarray:
-        """Int64 word plane of every program slot, ``(num_slots, n)``."""
+    def _planes(self, evidence_batch, strict) -> np.ndarray:
+        """Word planes of every program slot, ``(planes, num_slots, n)``."""
         program = self.program
         kernel = self._kernel
         active = self.encoder.encode(evidence_batch, strict=strict)
         slots = np.zeros(
-            (program.num_slots, len(evidence_batch)), dtype=np.int64
+            (kernel.planes, program.num_slots, len(evidence_batch)),
+            dtype=np.int64,
         )
-        slots[program.param_slots] = self._param_words[:, None]
-        slots[program.indicator_slots] = np.where(
-            active, kernel.one_word, 0
+        slots[:, program.param_slots] = self._param_planes[:, :, None]
+        slots[:, program.indicator_slots] = np.where(
+            active, kernel.one_planes[:, None, None], 0
         )
+        operators = kernel.operators
         for opcode, dests, lefts, rights in program.segments:
-            left = slots[lefts]
-            right = slots[rights]
-            if opcode == OP_SUM:
-                slots[dests] = kernel.add(left, right)
-            elif opcode == OP_PRODUCT:
-                slots[dests] = kernel.multiply(left, right)
-            elif opcode == OP_MAX:
-                slots[dests] = kernel.maximum(left, right)
-            else:  # OP_COPY
-                slots[dests] = left
+            if opcode == OP_COPY:
+                slots[:, dests] = slots[:, lefts]
+            else:
+                # Default ``where`` labels name the operator: "adder",
+                # "multiplier", "max".
+                slots[:, dests] = operators[opcode](
+                    slots[:, lefts], slots[:, rights]
+                )
         return slots
-
-    def _float_planes(self, evidence_batch, strict):
-        """(mantissa, exponent) planes of every slot, ``(num_slots, n)``."""
-        program = self.program
-        kernel = self._kernel
-        active = self.encoder.encode(evidence_batch, strict=strict)
-        n = len(evidence_batch)
-        mantissas = np.zeros((program.num_slots, n), dtype=np.int64)
-        exponents = np.zeros((program.num_slots, n), dtype=np.int64)
-        mantissas[program.param_slots] = self._param_m[:, None]
-        exponents[program.param_slots] = self._param_e[:, None]
-        one_m, one_e = kernel.one
-        mantissas[program.indicator_slots] = np.where(active, one_m, 0)
-        exponents[program.indicator_slots] = np.where(active, one_e, 0)
-        for opcode, dests, lefts, rights in program.segments:
-            if opcode == OP_SUM:
-                m, e = kernel.add(
-                    mantissas[lefts], exponents[lefts],
-                    mantissas[rights], exponents[rights],
-                )
-            elif opcode == OP_PRODUCT:
-                m, e = kernel.multiply(
-                    mantissas[lefts], exponents[lefts],
-                    mantissas[rights], exponents[rights],
-                )
-            elif opcode == OP_MAX:
-                m, e = kernel.maximum(
-                    mantissas[lefts], exponents[lefts],
-                    mantissas[rights], exponents[rights],
-                )
-            else:  # OP_COPY
-                m, e = mantissas[lefts], exponents[lefts]
-            mantissas[dests] = m
-            exponents[dests] = e
-        return mantissas, exponents
 
     # -- scalar big-int fallback ----------------------------------------
     def _scalar_outputs(

@@ -29,10 +29,9 @@ from repro.bn.inference import marginal
 from repro.bn.networks import random_network
 from repro.compile import compile_network
 from repro.engine import (
-    FixedPointBatchExecutor,
     InferenceSession,
-    FloatBatchExecutor,
     QuantizedTapeEvaluator,
+    WordBatchExecutor,
     ZeroEvidenceError,
     execute_partials,
     execute_partials_batch,
@@ -193,7 +192,7 @@ class TestQuantizedBackwardDifferential:
                     base.integer_bits, base.fraction_bits, rounding
                 )
                 backend = FixedPointBackend(fmt)
-                executor = FixedPointBatchExecutor(tape, fmt)
+                executor = WordBatchExecutor(tape, fmt)
                 try:
                     _, words = executor.partials_batch_words(batch)
                 except ArithmeticError:
@@ -231,7 +230,7 @@ class TestQuantizedBackwardDifferential:
                     base.exponent_bits, base.mantissa_bits, rounding
                 )
                 backend = FloatBackend(fmt)
-                executor = FloatBatchExecutor(tape, fmt)
+                executor = WordBatchExecutor(tape, fmt)
                 try:
                     _, (adj_m, adj_e) = executor.partials_batch_words(batch)
                 except ArithmeticError:
@@ -320,7 +319,7 @@ class TestBackwardGuards:
         tape = tape_for(binary)
         fmt = FixedPointFormat(2, 12)
         with pytest.raises(ValueError, match="MAX"):
-            FixedPointBatchExecutor(tape, fmt).partials_batch([{}])
+            WordBatchExecutor(tape, fmt).partials_batch([{}])
         with pytest.raises(ValueError, match="MAX"):
             QuantizedTapeEvaluator(tape).partials(FixedPointBackend(fmt), {})
 
@@ -377,6 +376,6 @@ class TestBackwardProgramCaching:
         session = InferenceSession(sprinkler_binary, backend="numpy")
         fmt = FixedPointFormat(4, 20)
         session.evaluate_quantized_batch(fmt, [{}])
-        executor = session._fixed_batch[fmt]
+        executor = session._executors[fmt]
         session.quantized_marginals_batch(fmt, [{}])
-        assert session._fixed_batch[fmt] is executor
+        assert session._executors[fmt] is executor

@@ -75,8 +75,7 @@ class TestConcurrentMemoization:
             _ = session._scalar_quantized
 
         _run_threads(worker)
-        assert len(session._fixed_batch) == 1
-        assert len(session._float_batch) == 1
+        assert len(session._executors) == 2  # one per format
         assert len(session._backends) == 1
 
 

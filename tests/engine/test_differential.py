@@ -31,9 +31,8 @@ from repro.arith import (
     RoundingMode,
 )
 from repro.engine import (
-    FixedPointBatchExecutor,
-    FloatBatchExecutor,
     QuantizedTapeEvaluator,
+    WordBatchExecutor,
     execute_values,
     tape_for,
 )
@@ -132,7 +131,7 @@ class TestFixedDifferential:
                     base.integer_bits, base.fraction_bits, rounding
                 )
                 try:
-                    executor = FixedPointBatchExecutor(tape, fmt)
+                    executor = WordBatchExecutor(tape, fmt)
                 except ArithmeticError:
                     # A parameter itself overflowed the format; the
                     # scalar backend must agree.
@@ -166,7 +165,7 @@ class TestFixedDifferential:
         _round_products (1 << -1)."""
         circuit = random_binary_circuits[0]
         fmt = FixedPointFormat(6, 0)
-        executor = FixedPointBatchExecutor(tape_for(circuit), fmt)
+        executor = WordBatchExecutor(tape_for(circuit), fmt)
         backend = FixedPointBackend(fmt)
         values = executor.evaluate_batch([{}])
         assert values[0] == evaluate_quantized(circuit, backend, {})
@@ -194,7 +193,7 @@ class TestFloatDifferential:
                 fmt = FloatFormat(
                     base.exponent_bits, base.mantissa_bits, rounding
                 )
-                executor = FloatBatchExecutor(tape, fmt)
+                executor = WordBatchExecutor(tape, fmt)
                 backend = FloatBackend(fmt)
                 try:
                     mantissas, exponents = executor.evaluate_batch_words(batch)
@@ -219,11 +218,74 @@ class TestFloatDifferential:
         circuit = random_binary_circuits[1]
         batch = random_evidence_batch(engine_rng, circuit, 15)
         fmt = FloatFormat(9, 14)
-        executor = FloatBatchExecutor(tape_for(circuit), fmt)
+        executor = WordBatchExecutor(tape_for(circuit), fmt)
         backend = FloatBackend(fmt)
         values = executor.evaluate_batch(batch)
         for evidence, value in zip(batch, values):
             assert value == evaluate_quantized(circuit, backend, evidence)
+
+
+def _word_arrays(words):
+    """A word batch as a tuple of int64 arrays: (m,) fixed, (m, e) float."""
+    return words if isinstance(words, tuple) else (words,)
+
+
+class TestWordBatchShapes:
+    """One executor, each arithmetic's public word shapes."""
+
+    @pytest.mark.parametrize(
+        "fmt", [FixedPointFormat(2, 12), FloatFormat(8, 10)], ids=str
+    )
+    def test_word_shapes_and_theta_rows(
+        self, engine_rng, sprinkler, sprinkler_binary, fmt
+    ):
+        from tests.conftest import all_evidence_combinations
+
+        tape = tape_for(sprinkler_binary)
+        executor = WordBatchExecutor(tape, fmt)
+        planes = 2 if isinstance(fmt, FloatFormat) else 1
+        nodes = (tape.num_nodes, 0)
+        values, partials = executor.partials_batch_words([])
+        for words, shape in (
+            (executor.evaluate_batch_words([]), (0,)),
+            (values, nodes),
+            (partials, nodes),
+        ):
+            assert isinstance(words, tuple) == (planes == 2)
+            assert len(_word_arrays(words)) == planes
+            for array in _word_arrays(words):
+                assert array.dtype == np.int64
+                assert array.shape == shape
+        assert executor.evaluate_batch([]).shape == (0,)
+
+        evidences = all_evidence_combinations(sprinkler)[:6]
+        params = np.asarray(tape.param_values, dtype=np.float64)
+        theta = params * engine_rng.uniform(0.5, 1.0, (6, params.size))
+        theta[0] = params  # the tape's own table: the default words
+        words = executor.encode_theta(theta)
+        root = _word_arrays(
+            executor.evaluate_batch_words(evidences, param_words=words)
+        )
+        values, partials = executor.partials_batch_words(
+            evidences, param_words=words
+        )
+        lanes = _word_arrays(values) + _word_arrays(partials)
+        for lane, evidence in enumerate(evidences):
+            row = executor.encode_theta(theta[lane : lane + 1])
+            for whole, single in zip(_word_arrays(words), _word_arrays(row)):
+                assert np.array_equal(whole[:, lane], single[:, 0])
+            one = _word_arrays(
+                executor.evaluate_batch_words([evidence], param_words=row)
+            )
+            assert [whole[lane] for whole in root] == [w[0] for w in one]
+            one_values, one_partials = executor.partials_batch_words(
+                [evidence], param_words=row
+            )
+            singles = _word_arrays(one_values) + _word_arrays(one_partials)
+            for whole, single in zip(lanes, singles):
+                assert np.array_equal(whole[:, lane], single[:, 0])
+        default = _word_arrays(executor.evaluate_batch_words(evidences[:1]))
+        assert [whole[0] for whole in root] == [w[0] for w in default]
 
 
 class TestRealNetworkDifferential:
@@ -238,7 +300,7 @@ class TestRealNetworkDifferential:
         from tests.conftest import all_evidence_combinations
 
         fmt = FloatFormat(8, mantissa_bits, rounding)
-        executor = FloatBatchExecutor(tape_for(sprinkler_binary), fmt)
+        executor = WordBatchExecutor(tape_for(sprinkler_binary), fmt)
         backend = FloatBackend(fmt)
         evidences = all_evidence_combinations(sprinkler)
         values = executor.evaluate_batch(evidences)
@@ -252,7 +314,7 @@ class TestRealNetworkDifferential:
 
         evidences = alarm_marginal_evidences(alarm, 15, seed=11)
         fmt = FloatFormat(9, 14)
-        executor = FloatBatchExecutor(tape_for(alarm_binary), fmt)
+        executor = WordBatchExecutor(tape_for(alarm_binary), fmt)
         backend = FloatBackend(fmt)
         values = executor.evaluate_batch(evidences)
         for evidence, value in zip(evidences, values):

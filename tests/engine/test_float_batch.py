@@ -12,7 +12,7 @@ from repro.ac.circuit import ArithmeticCircuit
 from repro.ac.evaluate import evaluate_quantized
 from repro.arith import FloatBackend, FloatFormat, RoundingMode
 from repro.arith.floatingpoint import FloatOverflowError, FloatUnderflowError
-from repro.engine import FloatBatchExecutor, tape_for
+from repro.engine import WordBatchExecutor, tape_for
 
 
 def chain_product_circuit(value: float, length: int):
@@ -44,7 +44,7 @@ def test_large_alignment_gaps_bit_identical(rounding, length):
     results must still match the exact big-int backend bit for bit."""
     circuit = gap_sum_circuit(0.9, 0.3, length)
     fmt = FloatFormat(8, 7, rounding)
-    executor = FloatBatchExecutor(tape_for(circuit), fmt)
+    executor = WordBatchExecutor(tape_for(circuit), fmt)
     backend = FloatBackend(fmt)
     for evidence in ({}, {"A": 0}, {"A": 1}):
         value = executor.evaluate_batch([evidence])[0]
@@ -58,7 +58,7 @@ def test_sticky_tie_cases_across_formats():
         fmt = FloatFormat(9, 4, rounding)
         for numerator in range(1, 32):
             circuit = gap_sum_circuit(numerator / 16.0, 2.0 ** -9, 1)
-            executor = FloatBatchExecutor(tape_for(circuit), fmt)
+            executor = WordBatchExecutor(tape_for(circuit), fmt)
             backend = FloatBackend(fmt)
             assert executor.evaluate_batch([{}])[0] == evaluate_quantized(
                 circuit, backend, {}
@@ -67,7 +67,7 @@ def test_sticky_tie_cases_across_formats():
 
 def test_zero_evidence_propagates_exactly():
     circuit = chain_product_circuit(0.5, 4)
-    executor = FloatBatchExecutor(tape_for(circuit), FloatFormat(5, 6))
+    executor = WordBatchExecutor(tape_for(circuit), FloatFormat(5, 6))
     mantissas, exponents = executor.evaluate_batch_words(
         [{"A": 1}, {"A": 0}]
     )
@@ -81,7 +81,7 @@ def test_zero_evidence_propagates_exactly():
 def test_underflow_parity_with_scalar_backend():
     circuit = chain_product_circuit(0.25, 10)  # 2^-20
     fmt = FloatFormat(5, 6)  # min normal 2^-14
-    executor = FloatBatchExecutor(tape_for(circuit), fmt)
+    executor = WordBatchExecutor(tape_for(circuit), fmt)
     backend = FloatBackend(fmt)
     with pytest.raises(FloatUnderflowError):
         evaluate_quantized(circuit, backend, {})
@@ -100,7 +100,7 @@ def test_overflow_parity_with_scalar_backend():
         result = circuit.add_sum([result, result])  # doubles each level
     circuit.set_root(result)
     fmt = FloatFormat(5, 6)  # max exponent 16
-    executor = FloatBatchExecutor(tape_for(circuit), fmt)
+    executor = WordBatchExecutor(tape_for(circuit), fmt)
     backend = FloatBackend(fmt)
     with pytest.raises(FloatOverflowError):
         evaluate_quantized(circuit, backend, {})
@@ -111,14 +111,14 @@ def test_overflow_parity_with_scalar_backend():
 def test_wide_formats_rejected():
     circuit = chain_product_circuit(0.5, 2)
     tape = tape_for(circuit)
-    FloatBatchExecutor(tape, FloatFormat(10, 30))  # boundary fits
+    WordBatchExecutor(tape, FloatFormat(10, 30))  # boundary fits
     with pytest.raises(ValueError, match="big-int"):
-        FloatBatchExecutor(tape, FloatFormat(10, 31))
+        WordBatchExecutor(tape, FloatFormat(10, 31))
     with pytest.raises(ValueError, match="big-int"):
-        FloatBatchExecutor(tape, FloatFormat(33, 10))
+        WordBatchExecutor(tape, FloatFormat(33, 10))
 
 
 def test_empty_batch():
     circuit = chain_product_circuit(0.5, 2)
-    executor = FloatBatchExecutor(tape_for(circuit), FloatFormat(8, 7))
+    executor = WordBatchExecutor(tape_for(circuit), FloatFormat(8, 7))
     assert executor.evaluate_batch([]).shape == (0,)

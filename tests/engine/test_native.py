@@ -154,7 +154,7 @@ class TestFixedPointDifferential:
                     )
                     executor = session._vector_executor(fmt)
                     try:
-                        expected = executor._forward_slot_words(batch, False)
+                        expected = executor._forward_planes(batch, False)[0]
                     except FixedPointOverflowError:
                         continue  # overflow parity has its own test
                     got = native.fixed_forward_words(fmt, active)
@@ -271,7 +271,7 @@ class TestFloatEmulationDifferential:
                     )
                     executor = session._vector_executor(fmt)
                     try:
-                        exp_m, exp_e = executor._forward_word_slots(
+                        exp_m, exp_e = executor._forward_planes(
                             batch, False
                         )
                     except (
@@ -562,7 +562,7 @@ class TestSessionBackendDispatch:
         expected = oracle.evaluate_quantized_batch(fmt, [{}, {"Rain": 1}])
         assert (got == expected).all()
         assert session.backend_fallback_reason is None
-        assert fmt not in session._float_batch  # numpy executor unused
+        assert fmt not in session._executors  # numpy executor unused
 
     def test_wide_float_falls_back_with_reason(self, sprinkler_binary):
         session = InferenceSession(sprinkler_binary, backend="native")

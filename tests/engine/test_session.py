@@ -12,8 +12,8 @@ from repro.arith import (
 )
 from repro.core import ErrorTolerance, ProbLP, QueryType
 from repro.engine import (
-    FixedPointBatchExecutor,
     InferenceSession,
+    WordBatchExecutor,
     session_for,
     tape_for,
 )
@@ -74,9 +74,9 @@ class TestSessionDispatch:
         session = InferenceSession(sprinkler_binary, backend="numpy")
         fmt = FixedPointFormat(1, 12)
         session.evaluate_quantized_batch(fmt, [{}])
-        first = session._fixed_batch[fmt]
+        first = session._executors[fmt]
         session.evaluate_quantized_batch(FixedPointFormat(1, 12), [{}])
-        assert session._fixed_batch[FixedPointFormat(1, 12)] is first
+        assert session._executors[FixedPointFormat(1, 12)] is first
 
 
 class TestQuantizedGuards:
@@ -201,7 +201,7 @@ class TestVectorizedFixedPoint:
 
     def test_wide_format_rejected(self, sprinkler_binary):
         with pytest.raises(ValueError, match="int64"):
-            FixedPointBatchExecutor(
+            WordBatchExecutor(
                 tape_for(sprinkler_binary), FixedPointFormat(1, 40)
             )
 

@@ -352,3 +352,113 @@ class TestMarginalDesignStructure:
         assert payload["registers"]["total"] == (
             design.program.total_registers
         )
+
+
+def _gated_terms(circuit, values, variable=None):
+    """``value · λ`` terms, each on its own variable unless one is given."""
+    return [
+        circuit.add_product(
+            [
+                circuit.add_parameter(value),
+                circuit.add_indicator(variable or f"V{index}", 0),
+            ]
+        )
+        for index, value in enumerate(values)
+    ]
+
+
+def _stream_design(values, combine, fmt, workload, variable=None):
+    from repro.ac.circuit import ArithmeticCircuit
+    from repro.ac.transform import binarize
+
+    circuit = ArithmeticCircuit(dedup=False)
+    terms = _gated_terms(circuit, values, variable)
+    if variable is not None:
+        # A second state keeps the root defined when λ(variable=0) is off.
+        terms.append(
+            circuit.add_product(
+                [circuit.add_parameter(0.1), circuit.add_indicator(variable, 1)]
+            )
+        )
+    root = circuit.add_sum(terms) if combine == "sum" else (
+        circuit.add_product(terms)
+    )
+    circuit.set_root(root)
+    return generate_hardware(binarize(circuit).circuit, fmt, workload=workload)
+
+
+class TestStreamErrors:
+    """Exception types and messages of the vectorized plane loop.
+
+    The stream simulator raises the scalar backends' exceptions: fixed
+    overflow names the operator (adder / multiplier) and the format,
+    float overflow and underflow name the format and its exponent range.
+    """
+
+    FIXED = FixedPointFormat(1, 10)
+    FLOAT = FloatFormat(3, 6)
+
+    @pytest.mark.parametrize("workload", ["joint", "marginals"])
+    @pytest.mark.parametrize("method", ["output_words", "output_values"])
+    def test_fixed_forward_adder_overflow(self, workload, method):
+        from repro.arith.fixedpoint import FixedPointOverflowError
+
+        design = _stream_design([0.9, 0.9, 0.9], "sum", self.FIXED, workload)
+        simulator = StreamSimulator(design)
+        assert simulator.vectorized
+        with pytest.raises(FixedPointOverflowError) as error:
+            getattr(simulator, method)([{}])
+        assert str(error.value) == "overflow at adder in fixed(I=1, F=10)"
+
+    def test_fixed_forward_multiplier_overflow(self):
+        from repro.arith.fixedpoint import FixedPointOverflowError
+
+        design = _stream_design([1.5, 1.5], "product", self.FIXED, "joint")
+        with pytest.raises(FixedPointOverflowError) as error:
+            StreamSimulator(design).output_words([{}])
+        assert str(error.value) == (
+            "overflow at multiplier in fixed(I=1, F=10)"
+        )
+
+    def test_fixed_backward_adder_overflow(self):
+        """λ(A=0)'s adjoint sums three 0.7 terms (2.1 > 2) while the
+        forward pass, with A=1 observed, stays at 0.1."""
+        from repro.arith.fixedpoint import FixedPointOverflowError
+
+        evidence = [{"A": 1}]
+        joint, marginals = (
+            _stream_design(
+                [0.7, 0.7, 0.7], "sum", self.FIXED, workload, variable="A"
+            )
+            for workload in ("joint", "marginals")
+        )
+        assert StreamSimulator(joint).output_values(evidence)[0, 0] == (
+            pytest.approx(0.1, abs=2**-10)
+        )
+        with pytest.raises(FixedPointOverflowError) as error:
+            StreamSimulator(marginals).output_words(evidence)
+        assert str(error.value) == "overflow at adder in fixed(I=1, F=10)"
+
+    @pytest.mark.parametrize("workload", ["joint", "marginals"])
+    def test_float_product_underflow(self, workload):
+        from repro.arith.floatingpoint import FloatUnderflowError
+
+        design = _stream_design([0.3, 0.3], "product", self.FLOAT, workload)
+        with pytest.raises(FloatUnderflowError) as error:
+            StreamSimulator(design).output_words([{}])
+        assert str(error.value) == (
+            "underflow in float(E=3, M=6): exponent below -2; min-value "
+            "analysis should pick E large enough"
+        )
+
+    @pytest.mark.parametrize("workload", ["joint", "marginals"])
+    def test_float_product_overflow(self, workload):
+        from repro.arith.floatingpoint import FloatOverflowError
+
+        design = _stream_design([6.0, 6.0], "product", self.FLOAT, workload)
+        with pytest.raises(FloatOverflowError) as error:
+            StreamSimulator(design).output_values([{}])
+        assert str(error.value) == (
+            "overflow in float(E=3, M=6): exponent exceeds 4; increase "
+            "exponent bits"
+        )
