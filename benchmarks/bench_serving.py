@@ -11,9 +11,11 @@ on the binarized Alarm circuit:
   vectorized tape replays and scatters the answers back.
 
 Both modes run against the same server with the same ``batch_window=0``
-configuration (the window only opens when concurrency exists, so lone
-sequential requests pay no waiting penalty — the comparison isolates
-*coalescing*, not added latency). The speedup is asserted ≥ 5× for
+configuration. The window only opens when concurrency exists: a request
+for an idle key flushes on the next loop tick (with any requests read
+in the same tick), so lone sequential requests pay no waiting penalty,
+and a window opens only while a batch for the key is executing — the
+comparison isolates *coalescing*, not added latency. The speedup is asserted ≥ 5× for
 exact float64 evaluation, quantized evaluation and all-marginals
 serving; answers are additionally checked bit-identical to direct
 :class:`InferenceSession` calls. Results are persisted as a stamped

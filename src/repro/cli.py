@@ -1049,9 +1049,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-window-ms",
         type=float,
         default=2.0,
-        help="micro-batching window: concurrent requests against the "
-        "same (circuit, format, workload) coalesce into one vectorized "
-        "tape replay (default 2 ms)",
+        help="micro-batching window under load: while a batch for a "
+        "(circuit, format, workload) executes, later requests for it "
+        "coalesce for this long into one vectorized tape replay; a "
+        "request for an idle key flushes at once (default 2 ms)",
     )
     serve.add_argument(
         "--max-batch",

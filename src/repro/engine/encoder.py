@@ -5,16 +5,20 @@ assignment (or a whole batch of them) into the 0/1 values of the λ
 leaves. The seed implementations each re-derived it with an
 O(batch × indicators) pure-Python double loop (``evaluate_batch``)
 or a per-query dict
-(``indicator_assignment``). :class:`EvidenceEncoder` does it once,
-vectorized per *variable*: one ``np.fromiter`` gather of the observed
-states plus one broadcast comparison yields the whole
-``(num_indicators, batch)`` activity matrix.
+(``indicator_assignment``). :class:`EvidenceEncoder` does it once, in
+time that scales with the *observed* (variable, value) entries: one
+Python pass flattens a batch's entries, and one scatter through a CSR
+table (per-variable ``row_ptr`` into flat indicator rows and states)
+writes every observed variable's rows of the ``(num_indicators, batch)``
+activity matrix, with a fixed number of numpy calls per batch.
 
 Semantics match :meth:`ArithmeticCircuit.indicator_assignment`: an
 indicator is active (1) when its variable is unobserved or observed in
-its state, inactive (0) otherwise. ``strict=True`` rejects evidence on
-variables without indicators (the scalar evaluators' behavior);
-``strict=False`` ignores it (the seed batch evaluators' behavior).
+its state, inactive (0) otherwise. Indicator states are non-negative
+(Node validation), so a negative or unknown evidence state zeroes the
+variable's indicators. ``strict=True`` rejects evidence on variables
+without indicators (the scalar evaluators' behavior); ``strict=False``
+ignores it (the seed batch evaluators' behavior).
 """
 
 from __future__ import annotations
@@ -22,14 +26,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 import numpy as np
-
-#: Sentinel for "variable unobserved" in the gathered state vectors.
-_UNOBSERVED = -1
-#: Sentinel for "observed in a state no indicator matches". Indicator
-#: states are non-negative (Node validation), so any negative evidence
-#: value means "matches nothing" — it must zero the variable's
-#: indicators, not read as unobserved.
-_INVALID = -2
 
 
 class EvidenceEncoder:
@@ -39,17 +35,31 @@ class EvidenceEncoder:
         self.keys = tuple((str(v), int(s)) for v, s in indicator_keys)
         self.num_indicators = len(self.keys)
         self.variables = tuple(sorted({v for v, _ in self.keys}))
-        self._known = frozenset(self.variables)
-        # Per variable: the rows of the indicator matrix it owns and the
-        # state each row tests for.
-        self._var_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for variable in self.variables:
-            rows = [i for i, (v, _) in enumerate(self.keys) if v == variable]
-            states = [self.keys[i][1] for i in rows]
-            self._var_rows[variable] = (
-                np.asarray(rows, dtype=np.intp),
-                np.asarray(states, dtype=np.int64),
+        #: Variable → its position in ``variables`` (its CSR row).
+        self._position = {v: i for i, v in enumerate(self.variables)}
+        # The CSR table: variable i owns the matrix rows
+        # ``_flat_rows[_row_ptr[i]:_row_ptr[i + 1]]``, each testing for
+        # the state at the same place in ``_flat_states``.
+        owner = np.asarray(
+            [self._position[v] for v, _ in self.keys], dtype=np.intp
+        )
+        self._flat_rows = np.argsort(owner, kind="stable")
+        self._flat_states = np.asarray(
+            [s for _, s in self.keys], dtype=np.int64
+        )[self._flat_rows]
+        self._row_ptr = np.zeros(len(self.variables) + 1, dtype=np.intp)
+        np.cumsum(
+            np.bincount(owner, minlength=len(self.variables)),
+            out=self._row_ptr[1:],
+        )
+        #: Per variable, views of its CSR slice (``encode_one``).
+        self._var_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {
+            variable: (
+                self._flat_rows[self._row_ptr[i]:self._row_ptr[i + 1]],
+                self._flat_states[self._row_ptr[i]:self._row_ptr[i + 1]],
             )
+            for i, variable in enumerate(self.variables)
+        }
 
     @classmethod
     def for_tape(cls, tape) -> "EvidenceEncoder":
@@ -69,7 +79,7 @@ class EvidenceEncoder:
             variable
             for evidence in evidence_batch
             for variable in evidence
-            if variable not in self._known
+            if variable not in self._position
         }
         if unknown:
             raise ValueError(
@@ -91,26 +101,34 @@ class EvidenceEncoder:
             self._check_known(evidence_batch)
         batch = len(evidence_batch)
         matrix = np.ones((self.num_indicators, batch), dtype=bool)
-        if batch == 0:
+        # One pass flattens the observed entries: the CSR row of each
+        # known variable, its value and its batch column.
+        position = self._position
+        variables: list[int] = []
+        values: list[int] = []
+        columns: list[int] = []
+        for column, evidence in enumerate(evidence_batch):
+            for variable, value in evidence.items():
+                row = position.get(variable)
+                if row is not None:
+                    variables.append(row)
+                    values.append(int(value))
+                    columns.append(column)
+        if not variables:
             return matrix
-        for variable, (rows, states) in self._var_rows.items():
-
-            def gather(evidence):
-                if variable not in evidence:
-                    return _UNOBSERVED
-                value = int(evidence[variable])
-                return value if value >= 0 else _INVALID
-
-            observed = np.fromiter(
-                (gather(evidence) for evidence in evidence_batch),
-                dtype=np.int64,
-                count=batch,
-            )
-            if not (observed != _UNOBSERVED).any():
-                continue  # variable unobserved everywhere: all ones
-            matrix[rows] = (observed == _UNOBSERVED) | (
-                observed == states[:, None]
-            )
+        # One scatter: expand every entry to its variable's CSR slice.
+        size = len(variables)
+        entries = np.fromiter(variables, dtype=np.intp, count=size)
+        starts = self._row_ptr[entries]
+        counts = self._row_ptr[entries + 1] - starts
+        ends = np.cumsum(counts)
+        entry = np.repeat(np.arange(size), counts)
+        flat = np.arange(ends[-1]) + (starts - ends + counts)[entry]
+        columns_of = np.fromiter(columns, dtype=np.intp, count=size)
+        values_of = np.fromiter(values, dtype=np.int64, count=size)
+        matrix[self._flat_rows[flat], columns_of[entry]] = (
+            self._flat_states[flat] == values_of[entry]
+        )
         return matrix
 
     def encode_one(
@@ -118,9 +136,10 @@ class EvidenceEncoder:
     ) -> np.ndarray:
         """Boolean activity vector of shape ``(num_indicators,)``.
 
-        Bit-identical to ``encode([evidence])[:, 0]`` but O(observed
-        variables) instead of O(all variables) — this sits on the
-        batch-size-1 serving hot path, where evidence is sparse.
+        Bit-identical to ``encode([evidence])[:, 0]`` without the batch
+        scatter's fixed numpy calls: one slice assignment per observed
+        variable. This sits on the batch-size-1 serving hot path, where
+        evidence is sparse.
         """
         if not evidence:
             return np.ones(self.num_indicators, dtype=bool)

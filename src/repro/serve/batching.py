@@ -3,16 +3,29 @@
 Single queries are the natural unit for clients, but the engine's unit
 of throughput is the *batch*: one vectorized tape replay answers a whole
 evidence batch for nearly the cost of one query. The
-:class:`MicroBatcher` bridges the two — concurrent requests that agree
-on a :class:`BatchKey` (circuit, workload kind, format) are held for a
-small window (or until ``max_batch`` accumulate), executed as **one**
-``evaluate_batch`` / ``marginals_batch`` / ``quantized_marginals_batch``
-call on a worker thread, and the per-row results are scattered back to
-each request's future.
+:class:`MicroBatcher` bridges the two — requests that agree on a
+:class:`BatchKey` (circuit, workload kind, format) are gathered into a
+bucket, executed as **one** ``evaluate_batch`` / ``marginals_batch`` /
+``quantized_marginals_batch`` call on a worker thread, and the per-row
+results are scattered back to each request's future.
+
+When a bucket flushes depends on load, per key:
+
+* **idle** — no batch for the key is executing, so the bucket flushes on
+  the next event-loop tick. A lone request pays no window; requests
+  submitted in the same tick (a pipelined burst read in one ``recv``)
+  still coalesce.
+* **window** — a batch for the key is already executing, so the bucket
+  stays open for ``window`` seconds to gather the requests arriving
+  meanwhile (the window opens only under load).
+* **max_batch** — the bucket reached ``max_batch`` requests.
+* **drain** — :meth:`MicroBatcher.drain` flushed it.
 
 Each flush is recorded once, into the batcher's registry:
 ``problp_batch_size{circuit,kind}`` (``_count`` flushes, ``_sum``
-requests), ``problp_batch_wait_seconds`` and ``problp_batch_largest``.
+requests), ``problp_batch_wait_seconds``, ``problp_batch_largest`` and
+``problp_batch_flushes_total{kind,trigger}`` (one of the four triggers
+above).
 
 Error attribution: when a coalesced batch fails as a whole (one bad
 evidence variable, one zero-probability instance), the batcher falls
@@ -23,6 +36,7 @@ a stranger's malformed query never poisons a neighbor's answer.
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Sequence
@@ -34,8 +48,9 @@ from ..obs.tracing import now_us
 
 AnyFormat = FixedPointFormat | FloatFormat
 
-#: Coalescing window. Long enough to gather a pipelined burst, short
-#: enough to stay invisible next to a tape replay.
+#: Coalescing window under load (a batch for the key is executing). Long
+#: enough to gather the requests that arrive during a replay, short
+#: enough to stay invisible next to one.
 DEFAULT_BATCH_WINDOW = 0.002
 DEFAULT_MAX_BATCH = 256
 
@@ -56,11 +71,14 @@ class BatchKey:
 
 
 class MicroBatcher:
-    """Coalesce per-key requests within a window; scatter results back.
+    """Coalesce per-key requests into batches; scatter results back.
 
-    ``dispatch(key, requests)`` is the (blocking) batch executor — it
-    runs on ``executor`` via ``run_in_executor`` and must return one
-    result per request, in order. The batcher itself lives on the event
+    A bucket flushes on the next loop tick when no batch for its key is
+    executing, after ``window`` seconds when one is, and at once when it
+    holds ``max_batch`` requests. ``dispatch(key, requests)`` is the
+    (blocking) batch executor — it runs on ``executor`` via
+    ``run_in_executor`` and must return one result per request, in
+    order. The batcher itself lives on the event
     loop: ``submit`` is the only entry point and must be awaited on the
     loop thread. ``registry`` receives the flush series (a fresh one
     by default).
@@ -83,8 +101,12 @@ class MicroBatcher:
         self._executor = executor
         self._pending: dict[BatchKey, list[tuple]] = {}
         self._opened: dict[BatchKey, float] = {}
-        self._timers: dict[BatchKey, asyncio.TimerHandle] = {}
+        #: The pending flush per open bucket: a next-tick handle (idle)
+        #: or a window timer (under load).
+        self._timers: dict[BatchKey, asyncio.Handle] = {}
         self._inflight: set[asyncio.Task] = set()
+        #: Flushed batches still executing, per key.
+        self._running: dict[BatchKey, int] = {}
         self.registry = registry if registry is not None else MetricsRegistry()
         self._wait_seconds = self.registry.histogram(
             "problp_batch_wait_seconds",
@@ -102,6 +124,12 @@ class MicroBatcher:
             "Most requests coalesced into one flushed batch.",
             labelnames=("kind",),
         )
+        self._flushes = self.registry.counter(
+            "problp_batch_flushes_total",
+            "Flushed batches by what flushed them (idle, window, "
+            "max_batch, drain).",
+            labelnames=("kind", "trigger"),
+        )
 
     def submit(self, key: BatchKey, request: Any, trace=None) -> Awaitable[Any]:
         """Enqueue one request; resolves to its scattered result.
@@ -118,35 +146,44 @@ class MicroBatcher:
         if len(bucket) == 1:
             self._opened[key] = time.monotonic()
         if len(bucket) >= self.max_batch:
-            self._flush(key)
+            self._flush(key, "max_batch")
         elif len(bucket) == 1:
-            # First request of a fresh bucket opens the window.
-            self._timers[key] = loop.call_later(
-                self.window, self._flush, key
-            )
+            # First request of a fresh bucket: flush next tick when the
+            # key is idle, open the window when a batch is executing.
+            if self._running.get(key):
+                self._timers[key] = loop.call_later(
+                    self.window, self._flush, key, "window"
+                )
+            else:
+                self._timers[key] = loop.call_soon(self._flush, key, "idle")
         return future
 
-    def _flush(self, key: BatchKey) -> None:
+    def _flush(self, key: BatchKey, trigger: str) -> None:
         timer = self._timers.pop(key, None)
         if timer is not None:
             timer.cancel()
         batch = self._pending.pop(key, None)
         if not batch:
             return
-        task = asyncio.ensure_future(self._run(key, batch))
+        self._flushes.labels(key.kind, trigger).inc()
+        opened = self._opened.pop(key)
+        task = asyncio.ensure_future(self._run(key, batch, opened))
         self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        self._running[key] = self._running.get(key, 0) + 1
+        task.add_done_callback(functools.partial(self._settle, key))
+
+    def _settle(self, key: BatchKey, task: asyncio.Task) -> None:
+        self._inflight.discard(task)
+        left = self._running.pop(key) - 1
+        if left:
+            self._running[key] = left
 
     async def _run(
-        self, key: BatchKey, batch: list[tuple]
+        self, key: BatchKey, batch: list[tuple], opened: float
     ) -> None:
         loop = asyncio.get_running_loop()
         requests = [request for request, _, _, _ in batch]
-        opened = self._opened.pop(key, None)
-        if opened is not None:
-            self._wait_seconds.labels(key.kind).observe(
-                time.monotonic() - opened
-            )
+        self._wait_seconds.labels(key.kind).observe(time.monotonic() - opened)
         self._batch_size.labels(key.circuit, key.kind).observe(len(requests))
         largest = self._largest.labels(key.kind)
         if len(requests) > largest.value:
@@ -214,14 +251,14 @@ class MicroBatcher:
             future.set_result(result)
 
     async def drain(self) -> None:
-        """Flush every open window and wait for in-flight batches."""
+        """Flush every open bucket and wait for in-flight batches."""
         for key in list(self._pending):
-            self._flush(key)
+            self._flush(key, "drain")
         while self._inflight:
             await asyncio.gather(*list(self._inflight), return_exceptions=True)
 
     def close(self) -> None:
-        """Cancel timers and reject whatever is still queued."""
+        """Cancel pending flushes and reject whatever is still queued."""
         for timer in self._timers.values():
             timer.cancel()
         self._timers.clear()

@@ -4,8 +4,10 @@
 :mod:`repro.serve.protocol` over TCP (stdlib ``asyncio`` only). Its
 core is the :class:`~repro.serve.batching.MicroBatcher`: concurrent
 ``eval``/``marginals`` requests against the same (circuit, format,
-workload) coalesce within a small window and are answered by **one**
-vectorized tape replay, results scattered back per request. Heavyweight
+workload) are answered by **one** vectorized tape replay, results
+scattered back per request. A request for an idle key flushes on the
+next loop tick; a small window opens only while a batch for the key
+is executing. Heavyweight
 one-off work (``optimize`` format searches, ``hw`` design reports) runs
 on the same worker thread pool without batching.
 
@@ -202,7 +204,12 @@ class ProbLPServer:
         Bind address; port 0 picks an ephemeral port (read ``.port``
         after :meth:`start`).
     batch_window, max_batch:
-        Micro-batching knobs (seconds, requests).
+        Micro-batching knobs (seconds, requests). A request whose
+        (circuit, workload, format) has no batch executing flushes on
+        the next loop tick, together with whatever arrived in the same
+        tick; ``batch_window`` is how long a bucket stays open while a
+        batch for its key is executing (the window under load).
+        ``max_batch`` flushes a bucket early at that many requests.
     allow_shutdown:
         Honor the ``shutdown`` op. Off by default; the sharding layer
         enables it on its (loopback-bound) workers for graceful drain.

@@ -111,11 +111,29 @@ class _ShardLink:
         #: Forwarded-but-unanswered requests on this link — the
         #: least-pending routing signal.
         self.pending = 0
+        #: Lines forwarded in the current loop tick, not yet written.
+        self._outbox: list[bytes] = []
 
     async def send(self, payload: Mapping[str, Any]) -> None:
+        """Forward one line; lines sent in one loop tick share a write.
+
+        A pipelined burst is forwarded by one task per line, all in the
+        same tick. Written line by line, it could reach the worker
+        spread over several reads, and the worker's batcher flushes an
+        idle key on its next tick; one write keeps the burst together,
+        so it still coalesces into one batch there.
+        """
+        self._outbox.append(encode_line(dict(payload)))
+        if len(self._outbox) == 1:
+            asyncio.get_running_loop().call_soon(self._write_outbox)
+        await asyncio.sleep(0)  # the outbox is written before we drain
         async with self.write_lock:
-            self.writer.write(encode_line(dict(payload)))
             await self.writer.drain()
+
+    def _write_outbox(self) -> None:
+        data = b"".join(self._outbox)
+        self._outbox.clear()
+        self.writer.write(data)
 
     async def close(self) -> None:
         if self.pump is not None:

@@ -1,7 +1,8 @@
 """Unit tests for the micro-batching queue itself.
 
 The end-to-end suites exercise the batcher through the server; these
-tests pin down the queue's own contracts — window coalescing, the
+tests pin down the queue's own contracts — the next-tick flush of an
+idle key, window coalescing while a batch for the key executes, the
 ``max_batch`` early-flush boundary, drain-while-a-flush-is-in-flight,
 and the per-request fail-over that keeps one bad query from poisoning
 its batch neighbors.
@@ -9,6 +10,7 @@ its batch neighbors.
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -134,6 +136,143 @@ class TestCoalescing:
         (size,) = registry.get("problp_batch_size").collect()["samples"]
         assert size["labels"] == {"circuit": "sprinkler", "kind": "eval"}
         assert (size["count"], size["sum"]) == (2, 5)
+
+
+def flush_counts(registry):
+    """``problp_batch_flushes_total`` as {(kind, trigger): count}."""
+    family = registry.get("problp_batch_flushes_total").collect()
+    return {
+        (sample["labels"]["kind"], sample["labels"]["trigger"]): sample["value"]
+        for sample in family["samples"]
+    }
+
+
+class TestIdleFlush:
+    def test_lone_submit_skips_the_window(self):
+        dispatch = RecordingDispatch()
+
+        async def scenario():
+            # Only the idle flush can answer inside the timeout: the
+            # window is a minute long.
+            batcher = MicroBatcher(dispatch, window=60.0, max_batch=64)
+            started = time.monotonic()
+            result = await asyncio.wait_for(batcher.submit(KEY, 4), 10)
+            elapsed = time.monotonic() - started
+            await batcher.drain()
+            return result, elapsed, batcher.registry
+
+        result, elapsed, registry = asyncio.run(scenario())
+        assert result == 40
+        assert elapsed < 1.0
+        assert flush_counts(registry) == {("eval", "idle"): 1}
+
+    def test_submits_under_load_coalesce_in_the_window(self):
+        """While batch 1 executes, later submits (each in its own loop
+        tick) wait out one window and flush together."""
+        dispatch = RecordingDispatch()
+        dispatch.release.clear()
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            batcher = MicroBatcher(dispatch, window=0.2, max_batch=64)
+            first = batcher.submit(KEY, 1)
+            assert await loop.run_in_executor(
+                None, dispatch.entered.wait, 5
+            )
+            later = []
+            for request in (2, 3, 4):
+                later.append(batcher.submit(KEY, request))
+                await asyncio.sleep(0)
+            dispatch.release.set()
+            results = await asyncio.wait_for(
+                asyncio.gather(first, *later), 10
+            )
+            await batcher.drain()
+            return results, batcher.registry
+
+        try:
+            results, registry = asyncio.run(scenario())
+        finally:
+            dispatch.release.set()
+        assert results == [10, 20, 30, 40]
+        assert [requests for _, requests in dispatch.batches] == [
+            [1],
+            [2, 3, 4],
+        ]
+        assert flush_counts(registry) == {
+            ("eval", "idle"): 1,
+            ("eval", "window"): 1,
+        }
+
+    def test_same_tick_submits_still_coalesce_when_idle(self):
+        dispatch = RecordingDispatch()
+
+        async def scenario():
+            batcher = MicroBatcher(dispatch, window=60.0, max_batch=64)
+            results = await asyncio.wait_for(
+                asyncio.gather(*(batcher.submit(KEY, i) for i in range(5))),
+                10,
+            )
+            await batcher.drain()
+            return results
+
+        assert asyncio.run(scenario()) == [0, 10, 20, 30, 40]
+        assert [requests for _, requests in dispatch.batches] == [
+            [0, 1, 2, 3, 4]
+        ]
+
+    def test_close_in_the_submit_tick_cancels_the_idle_flush(self):
+        dispatch = RecordingDispatch()
+
+        async def scenario():
+            batcher = MicroBatcher(dispatch, window=60.0, max_batch=64)
+            future = batcher.submit(KEY, 3)
+            batcher.close()
+            # Give a surviving next-tick flush every chance to run.
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert future.cancelled()
+            return batcher.registry
+
+        registry = asyncio.run(scenario())
+        assert dispatch.batches == []
+        assert flush_counts(registry) == {}
+
+    def test_drain_resolves_a_pending_idle_flush(self):
+        dispatch = RecordingDispatch()
+
+        async def scenario():
+            batcher = MicroBatcher(dispatch, window=60.0, max_batch=64)
+            future = batcher.submit(KEY, 5)
+            await batcher.drain()
+            assert future.done()
+            for _ in range(5):
+                await asyncio.sleep(0)
+            return await future, batcher.registry
+
+        result, registry = asyncio.run(scenario())
+        assert result == 50
+        assert [requests for _, requests in dispatch.batches] == [[5]]
+        assert flush_counts(registry) == {("eval", "drain"): 1}
+
+    def test_max_batch_and_drain_triggers_are_counted(self):
+        dispatch = RecordingDispatch()
+
+        async def scenario():
+            batcher = MicroBatcher(dispatch, window=60.0, max_batch=2)
+            futures = [batcher.submit(KEY, i) for i in range(3)]
+            # [0, 1] filled the bucket; [2] opened a window behind the
+            # running batch, and only drain can flush it in time.
+            await asyncio.wait_for(batcher.drain(), 10)
+            return [await f for f in futures], batcher.registry
+
+        results, registry = asyncio.run(scenario())
+        assert results == [0, 10, 20]
+        assert [requests for _, requests in dispatch.batches] == [[0, 1], [2]]
+        assert flush_counts(registry) == {
+            ("eval", "max_batch"): 1,
+            ("eval", "drain"): 1,
+        }
 
 
 class TestDrain:

@@ -243,6 +243,10 @@ class TestFrontReload:
 
 class TestFrontBackpressure:
     def test_front_sheds_load_with_the_typed_code(self):
+        # The front admits or sheds each line of the pipelined burst as
+        # it parses it, before any admitted request is forwarded, so the
+        # burst overlaps in flight; the batch window plays no part (an
+        # idle key flushes on the next loop tick).
         server = ShardedServer(
             [CircuitSource("sprinkler", "builtin")],
             shards=1,

@@ -37,9 +37,12 @@ def fresh_registry(*names):
 
 
 class TestBackpressure:
+    # A pipelined burst reaches the server in one read, and the
+    # transport admits or sheds each line as it parses it, before any
+    # admitted request's task runs; so the burst overlaps in flight
+    # deterministically. The batch window plays no part: an idle key
+    # flushes on the next loop tick whatever the window is.
     def test_per_connection_limit_sheds_with_typed_code(self):
-        # A long batch window parks admitted evals in the coalescing
-        # queue, so a pipelined burst overlaps in flight deterministically.
         with BackgroundServer(
             fresh_registry("sprinkler"),
             batch_window=0.3,

@@ -187,3 +187,36 @@ class TestShardedLifecycle:
     def test_zero_shards_rejected(self):
         with pytest.raises(ValueError):
             ShardedServer(SOURCES, shards=0)
+
+
+class TestShardLinkWrites:
+    """The front forwards a burst to a worker as one write."""
+
+    class RecordingWriter:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(data)
+
+        async def drain(self):
+            pass
+
+    def test_lines_sent_in_one_tick_share_one_write(self):
+        import asyncio
+        import json
+
+        from repro.serve.sharding import _ShardLink
+
+        writer = self.RecordingWriter()
+
+        async def scenario():
+            link = _ShardLink(0, 0, None, writer)
+            await asyncio.gather(*(link.send({"id": i}) for i in range(3)))
+            await link.send({"id": 3})
+
+        asyncio.run(scenario())
+        assert [
+            [json.loads(line)["id"] for line in data.splitlines()]
+            for data in writer.writes
+        ] == [[0, 1, 2], [3]]
