@@ -125,7 +125,16 @@ class EvidenceEncoder:
         entry = np.repeat(np.arange(size), counts)
         flat = np.arange(ends[-1]) + (starts - ends + counts)[entry]
         columns_of = np.fromiter(columns, dtype=np.intp, count=size)
-        values_of = np.fromiter(values, dtype=np.int64, count=size)
+        try:
+            values_of = np.fromiter(values, dtype=np.int64, count=size)
+        except OverflowError:
+            # A state beyond int64 matches no indicator, as in encode_one:
+            # -1 stands in for it (states are ≥ 0).
+            values_of = np.fromiter(
+                (value if -(2**63) <= value < 2**63 else -1 for value in values),
+                dtype=np.int64,
+                count=size,
+            )
         matrix[self._flat_rows[flat], columns_of[entry]] = (
             self._flat_states[flat] == values_of[entry]
         )

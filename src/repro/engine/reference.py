@@ -11,6 +11,11 @@ The scalar quantized oracle needs no copy: the generic per-node loop in
 :func:`repro.ac.evaluate.evaluate_quantized` is itself retained as the
 reference for all quantized executors.
 
+θ batches need no oracle of their own either: each θ row of a batched
+sweep is bit-identical to a θ-free golden evaluation of the circuit
+re-parameterized with that row, so the golden sweeps here and in
+:mod:`repro.ac.evaluate` cover them.
+
 PR 3 adds the frozen **analysis** walkers: the sequential op-by-op
 sweeps for max/min-value extremes, forward (1±ε) factor counts,
 fixed-point error-delta propagation, and the adjoint factor counts of
@@ -29,8 +34,6 @@ import numpy as np
 
 from ..ac.circuit import ArithmeticCircuit
 from ..ac.nodes import OpType
-from ..arith.fixedpoint import FixedPointBackend, FixedPointFormat
-from ..arith.floatingpoint import FloatBackend, FloatFormat
 from .tape import OP_COPY, OP_MAX, OP_PRODUCT, OP_SUM, tape_for
 
 
@@ -305,241 +308,3 @@ def reference_evaluate_batch(
             values[index] = values[list(node.children)].max(axis=0)
     return values[circuit.root].copy()
 
-
-# ----------------------------------------------------------------------
-# θ-sweep oracles (PR 7): frozen per-θ *sequential* replays
-# ----------------------------------------------------------------------
-# The θ-batched executors replay one tape over an (n_theta, n_params)
-# matrix of parameter instantiations in a single struct-of-arrays sweep.
-# These oracles pin their semantics: one scalar tape replay per θ row,
-# parameter slots re-seeded from that row of the deduplicated table —
-# the obvious sequential dispatch the vectorized sweep must reproduce
-# bit-for-bit. Do not optimize or vectorize them.
-
-
-def _reference_theta_slots(
-    tape, row, lambda_values
-) -> list[float]:
-    """One frozen scalar float64 forward sweep with re-seeded θ slots."""
-    slots = [0.0] * tape.num_slots
-    for slot, value_id in zip(tape.param_slots, tape.param_ids):
-        slots[slot] = float(row[value_id])
-    for slot, key in zip(tape.indicator_slots, tape.indicator_keys):
-        slots[slot] = lambda_values[key]
-    for opcode, dest, left, right in tape.op_tuples:
-        if opcode == OP_SUM:
-            slots[dest] = slots[left] + slots[right]
-        elif opcode == OP_PRODUCT:
-            slots[dest] = slots[left] * slots[right]
-        elif opcode == OP_MAX:
-            left_value, right_value = slots[left], slots[right]
-            slots[dest] = (
-                left_value if left_value >= right_value else right_value
-            )
-        else:  # OP_COPY
-            slots[dest] = slots[left]
-    return slots
-
-
-def reference_theta_forward(
-    circuit: ArithmeticCircuit,
-    theta: Sequence[Sequence[float]],
-    evidence: Mapping[str, int] | None = None,
-) -> np.ndarray:
-    """Frozen per-θ sequential float64 root values, shape ``(n_theta,)``."""
-    tape = tape_for(circuit)
-    root = tape.require_root()
-    lambda_values = circuit.indicator_assignment(evidence)
-    return np.asarray(
-        [
-            _reference_theta_slots(tape, row, lambda_values)[root]
-            for row in np.asarray(theta, dtype=np.float64)
-        ]
-    )
-
-
-def reference_theta_partials(
-    circuit: ArithmeticCircuit,
-    theta: Sequence[Sequence[float]],
-    evidence: Mapping[str, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen per-θ sequential ``(values, partials)``, ``(num_nodes, n_theta)``.
-
-    One scalar forward plus one scalar backward tape replay per θ row,
-    exactly the adjoint accumulation order of the batched executor.
-    """
-    tape = tape_for(circuit)
-    tape.require_differentiable()
-    root = tape.require_root()
-    lambda_values = circuit.indicator_assignment(evidence)
-    value_columns: list[list[float]] = []
-    partial_columns: list[list[float]] = []
-    for row in np.asarray(theta, dtype=np.float64):
-        slots = _reference_theta_slots(tape, row, lambda_values)
-        partials = [0.0] * tape.num_slots
-        partials[root] = 1.0
-        for opcode, dest, left, right in tape.backward.op_tuples:
-            seed = partials[dest]
-            if opcode == OP_SUM:
-                partials[left] += seed
-                partials[right] += seed
-            elif opcode == OP_PRODUCT:
-                partials[left] += seed * slots[right]
-                partials[right] += seed * slots[left]
-            else:  # OP_COPY
-                partials[left] += seed
-        value_columns.append(slots[: tape.num_nodes])
-        partial_columns.append(partials[: tape.num_nodes])
-    if not value_columns:
-        empty = np.empty((tape.num_nodes, 0))
-        return empty, empty.copy()
-    return np.asarray(value_columns).T, np.asarray(partial_columns).T
-
-
-def reference_theta_fixed_words(
-    circuit: ArithmeticCircuit,
-    fmt: FixedPointFormat,
-    theta: Sequence[Sequence[float]],
-    evidence: Mapping[str, int] | None = None,
-) -> np.ndarray:
-    """Frozen per-θ big-int fixed-point root mantissas, ``(n_theta,)``.
-
-    Each θ row is quantized through the scalar
-    :class:`~repro.arith.fixedpoint.FixedPointBackend` and swept with
-    one rounded operation per two-input operator — the golden reference
-    for the vectorized per-row quantized parameter tables.
-    """
-    backend = FixedPointBackend(fmt)
-    tape = tape_for(circuit)
-    root = tape.require_root()
-    lambda_values = circuit.indicator_assignment(evidence)
-    one, zero = backend.one(), backend.zero()
-    results: list[int] = []
-    for row in np.asarray(theta, dtype=np.float64):
-        slots: list = [None] * tape.num_slots
-        for slot, value_id in zip(tape.param_slots, tape.param_ids):
-            slots[slot] = backend.from_real(float(row[value_id]))
-        for slot, key in zip(tape.indicator_slots, tape.indicator_keys):
-            slots[slot] = one if lambda_values[key] else zero
-        for opcode, dest, left, right in tape.op_tuples:
-            if opcode == OP_SUM:
-                slots[dest] = backend.add(slots[left], slots[right])
-            elif opcode == OP_PRODUCT:
-                slots[dest] = backend.multiply(slots[left], slots[right])
-            elif opcode == OP_MAX:
-                slots[dest] = backend.maximum(slots[left], slots[right])
-            else:  # OP_COPY
-                slots[dest] = slots[left]
-        results.append(int(slots[root].mantissa))
-    return np.asarray(results, dtype=np.int64)
-
-
-def reference_theta_float_words(
-    circuit: ArithmeticCircuit,
-    fmt: FloatFormat,
-    theta: Sequence[Sequence[float]],
-    evidence: Mapping[str, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen per-θ emulated-float root words, two ``(n_theta,)`` arrays.
-
-    Each θ row is quantized through the scalar
-    :class:`~repro.arith.floatingpoint.FloatBackend` and swept with one
-    rounded operation per two-input operator; the root's ``(mantissa,
-    exponent)`` pairs are the golden reference for the vectorized (and
-    native) per-row quantized float parameter tables. Exact zero is the
-    ``(0, 0)`` pair, exactly as the word kernels encode it.
-    """
-    backend = FloatBackend(fmt)
-    tape = tape_for(circuit)
-    root = tape.require_root()
-    lambda_values = circuit.indicator_assignment(evidence)
-    one, zero = backend.one(), backend.zero()
-    mantissas: list[int] = []
-    exponents: list[int] = []
-    for row in np.asarray(theta, dtype=np.float64):
-        slots: list = [None] * tape.num_slots
-        for slot, value_id in zip(tape.param_slots, tape.param_ids):
-            slots[slot] = backend.from_real(float(row[value_id]))
-        for slot, key in zip(tape.indicator_slots, tape.indicator_keys):
-            slots[slot] = one if lambda_values[key] else zero
-        for opcode, dest, left, right in tape.op_tuples:
-            if opcode == OP_SUM:
-                slots[dest] = backend.add(slots[left], slots[right])
-            elif opcode == OP_PRODUCT:
-                slots[dest] = backend.multiply(slots[left], slots[right])
-            elif opcode == OP_MAX:
-                slots[dest] = backend.maximum(slots[left], slots[right])
-            else:  # OP_COPY
-                slots[dest] = slots[left]
-        mantissas.append(int(slots[root].mantissa))
-        exponents.append(int(slots[root].exponent))
-    return (
-        np.asarray(mantissas, dtype=np.int64),
-        np.asarray(exponents, dtype=np.int64),
-    )
-
-
-def reference_theta_fixed_partial_words(
-    circuit: ArithmeticCircuit,
-    fmt: FixedPointFormat,
-    theta: Sequence[Sequence[float]],
-    evidence: Mapping[str, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen per-θ big-int fixed ``(value, adjoint)`` mantissa matrices.
-
-    Shapes ``(num_nodes, n_theta)``; the backward sweep runs in the same
-    emulated arithmetic (one rounded multiply plus one checked add per
-    adjoint contribution), mirroring the batched executor's order.
-    """
-    backend = FixedPointBackend(fmt)
-    tape = tape_for(circuit)
-    tape.require_differentiable()
-    root = tape.require_root()
-    lambda_values = circuit.indicator_assignment(evidence)
-    one, zero = backend.one(), backend.zero()
-    value_columns: list[list[int]] = []
-    adjoint_columns: list[list[int]] = []
-    for row in np.asarray(theta, dtype=np.float64):
-        slots: list = [None] * tape.num_slots
-        for slot, value_id in zip(tape.param_slots, tape.param_ids):
-            slots[slot] = backend.from_real(float(row[value_id]))
-        for slot, key in zip(tape.indicator_slots, tape.indicator_keys):
-            slots[slot] = one if lambda_values[key] else zero
-        for opcode, dest, left, right in tape.op_tuples:
-            if opcode == OP_SUM:
-                slots[dest] = backend.add(slots[left], slots[right])
-            elif opcode == OP_PRODUCT:
-                slots[dest] = backend.multiply(slots[left], slots[right])
-            elif opcode == OP_MAX:
-                slots[dest] = backend.maximum(slots[left], slots[right])
-            else:  # OP_COPY
-                slots[dest] = slots[left]
-        adjoints: list = [zero] * tape.num_slots
-        adjoints[root] = one
-        for opcode, dest, left, right in tape.backward.op_tuples:
-            seed = adjoints[dest]
-            if opcode == OP_SUM:
-                adjoints[left] = backend.add(adjoints[left], seed)
-                adjoints[right] = backend.add(adjoints[right], seed)
-            elif opcode == OP_PRODUCT:
-                adjoints[left] = backend.add(
-                    adjoints[left], backend.multiply(seed, slots[right])
-                )
-                adjoints[right] = backend.add(
-                    adjoints[right], backend.multiply(seed, slots[left])
-                )
-            else:  # OP_COPY
-                adjoints[left] = backend.add(adjoints[left], seed)
-        value_columns.append(
-            [int(v.mantissa) for v in slots[: tape.num_nodes]]
-        )
-        adjoint_columns.append(
-            [int(v.mantissa) for v in adjoints[: tape.num_nodes]]
-        )
-    if not value_columns:
-        empty = np.empty((tape.num_nodes, 0), dtype=np.int64)
-        return empty, empty.copy()
-    return (
-        np.asarray(value_columns, dtype=np.int64).T,
-        np.asarray(adjoint_columns, dtype=np.int64).T,
-    )

@@ -346,9 +346,8 @@ class InferenceSession:
         Replays the tape once over an ``(n_theta, n_params)`` matrix of
         parameter instantiations — one struct-of-arrays sweep, one lane
         per θ row — and returns the ``(n_theta,)`` root values.
-        Bit-identical to evaluating each row sequentially
-        (:func:`repro.engine.reference.reference_theta_forward`), on
-        either backend.
+        Each row is bit-identical to a θ-free golden evaluation of the
+        circuit re-parameterized with that row, on either backend.
         """
         matrix = normalize_theta(self.tape, theta)
         return self.evaluate_batch(
@@ -568,10 +567,8 @@ class InferenceSession:
         batch-lenient evidence handling (``strict=False`` default).
         ``theta`` zips an ``(n_theta, n_params)`` parameter batch
         against the evidence batch; each lane evaluates under its own
-        per-row quantized parameter table, bit-identical to the frozen
-        per-θ oracles
-        (:func:`repro.engine.reference.reference_theta_fixed_words`,
-        :func:`repro.engine.reference.reference_theta_float_words`).
+        per-row quantized parameter table, bit-identical to a θ-free
+        golden evaluation of the circuit re-parameterized with that row.
         """
         evidence_batch, matrix = self._align(evidence_batch, theta)
         native = self._dispatch(fmt=fmt)

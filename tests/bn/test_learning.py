@@ -216,8 +216,8 @@ class TestNetworkParameterMap:
 
 
 class TestBatchedWhatIf:
-    def test_matches_per_theta_replay_loop(self):
-        from repro.engine.reference import reference_theta_forward
+    def test_matches_per_theta_golden(self):
+        from tests.conftest import golden_theta_forward
 
         network = distinct_network()
         pmap = NetworkParameterMap(network)
@@ -228,14 +228,8 @@ class TestBatchedWhatIf:
         ]
         for evidence in ({}, {"C": 2}, {"A": 1, "B": 0}):
             got = what_if_evaluations(network, sweeps, evidence, pmap.circuit)
-            want = np.asarray(
-                [
-                    reference_theta_forward(
-                        pmap.circuit, pmap.theta_row(s)[None], evidence
-                    )[0]
-                    for s in sweeps
-                ]
-            )
+            theta = np.asarray([pmap.theta_row(s) for s in sweeps])
+            want = golden_theta_forward(pmap.circuit, theta, evidence)
             assert got.shape == (3,)
             assert (got == want).all()
 

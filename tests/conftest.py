@@ -9,6 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ac.circuit import ArithmeticCircuit
+from repro.ac.evaluate import evaluate_quantized_values
+from repro.ac.nodes import OpType
 from repro.ac.transform import binarize
 from repro.bn.networks import (
     alarm_network,
@@ -19,6 +22,11 @@ from repro.bn.networks import (
 from repro.compile import compile_mpe, compile_network
 from repro.core.optimizer import CircuitAnalysis
 from repro.datasets import SyntheticSpec, build_benchmark
+from repro.engine import tape_for
+from repro.engine.reference import (
+    reference_evaluate_real,
+    reference_partial_derivatives,
+)
 
 
 @pytest.fixture(scope="session")
@@ -113,6 +121,64 @@ def all_evidence_combinations(network, variables=None):
         dict(zip(names, combo))
         for combo in iter_product(*(range(c) for c in cards))
     ]
+
+
+def reparameterized(circuit, row):
+    """The circuit with every parameter leaf set to its entry of the θ
+    row (the tape's deduplicated table order), same node numbering.
+
+    A θ-batched sweep must match, row by row, the θ-free golden tier run
+    on this circuit (tests only)."""
+    tape = tape_for(circuit)
+    values = {
+        int(slot): float(row[value_id])
+        for slot, value_id in zip(tape.param_slots, tape.param_ids)
+    }
+    copy = ArithmeticCircuit(dedup=False)
+    for index, node in enumerate(circuit.nodes):
+        if node.op is OpType.PARAMETER:
+            copy.add_parameter(values[index])
+        elif node.op is OpType.INDICATOR:
+            copy.add_indicator(node.variable, node.state)
+        else:
+            copy._add_operator(node.op, node.children)
+    copy.set_root(circuit.root)
+    assert len(copy) == len(circuit)
+    return copy
+
+
+def golden_theta_forward(circuit, theta, evidence):
+    """Golden float64 root value of each re-parameterized θ row."""
+    return np.asarray(
+        [
+            reference_evaluate_real(reparameterized(circuit, row), evidence)
+            for row in theta
+        ]
+    )
+
+
+def golden_theta_partials(circuit, theta, evidence):
+    """Golden ``(values, partials)`` of each re-parameterized θ row, as
+    two ``(num_nodes, n_theta)`` matrices."""
+    columns = [
+        reference_partial_derivatives(reparameterized(circuit, row), evidence)
+        for row in theta
+    ]
+    return tuple(np.asarray(part).T for part in zip(*columns))
+
+
+def golden_theta_roots(circuit, backend, theta, evidence):
+    """Big-int quantized root value of each re-parameterized θ row."""
+    sweeps = (
+        evaluate_quantized_values(reparameterized(circuit, row), backend, evidence)
+        for row in theta
+    )
+    return [values[circuit.root] for values in sweeps]
+
+
+def mantissas(words):
+    """The mantissas of a sequence of big-int quantized values."""
+    return np.asarray([word.mantissa for word in words])
 
 
 @pytest.fixture(scope="session")

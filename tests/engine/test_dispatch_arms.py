@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from repro.ac.circuit import ArithmeticCircuit
-from repro.ac.nodes import OpType
 from repro.arith import FixedPointFormat, FixedPointOverflowError, FloatFormat
 from repro.engine import InferenceSession, native_available
 from repro.obs.metrics import REGISTRY
+from tests.conftest import reparameterized
 
 BACKENDS = [
     pytest.param(
@@ -94,27 +94,6 @@ def theta_rows(session, rows, seed=0):
     return np.random.default_rng(seed).uniform(0.05, 0.5, (rows, width))
 
 
-def reparameterized(session, row):
-    """The session's circuit with every parameter leaf set to its entry
-    of the θ row (same node numbering), on the numpy backend."""
-    tape = session.tape
-    values = {
-        int(slot): float(row[value_id])
-        for slot, value_id in zip(tape.param_slots, tape.param_ids)
-    }
-    copy = ArithmeticCircuit(dedup=False)
-    for index, node in enumerate(session.circuit.nodes):
-        if node.op is OpType.PARAMETER:
-            copy.add_parameter(values[index])
-        elif node.op is OpType.INDICATOR:
-            copy.add_indicator(node.variable, node.state)
-        else:
-            copy._add_operator(node.op, node.children)
-    copy.set_root(session.circuit.root)
-    assert len(copy) == len(session.circuit)
-    return InferenceSession(copy, backend="numpy")
-
-
 @pytest.fixture(scope="module", params=BACKENDS)
 def session(request, sprinkler_binary):
     return InferenceSession(sprinkler_binary, backend=request.param)
@@ -138,7 +117,14 @@ class TestDispatchArms:
         theta = theta_rows(session, len(EVIDENCE), seed=6)
         got = sweep(session, fmt, kind, EVIDENCE, theta)
         per_row = [
-            sweep(reparameterized(session, row), fmt, kind, [evidence])
+            sweep(
+                InferenceSession(
+                    reparameterized(session.circuit, row), backend="numpy"
+                ),
+                fmt,
+                kind,
+                [evidence],
+            )
             for evidence, row in zip(EVIDENCE, theta)
         ]
         assert_identical(got, stacked(per_row))

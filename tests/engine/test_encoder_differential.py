@@ -3,8 +3,8 @@
 ``EvidenceEncoder.encode`` scatters a whole batch through one CSR table.
 Every column it writes must equal ``encode_one`` of that row and the
 circuit's own :meth:`ArithmeticCircuit.indicator_assignment`, for any
-mix of sparse, dense, repeated and empty rows, negative and unknown
-states, and evidence on variables the circuit has no indicators for.
+mix of sparse, dense, repeated and empty rows, negative, unknown and
+beyond-int64 states, and evidence on variables the circuit has no indicators for.
 """
 
 from functools import lru_cache
@@ -38,8 +38,12 @@ def evidence_batches(draw, encoder):
     the same dict object repeats across columns."""
     variables = list(encoder.variables)
     top = max(state for _, state in encoder.keys)
-    # Negative, valid and past-the-last states alike.
-    state = st.integers(min_value=-3, max_value=top + 3)
+    # Negative, valid and past-the-last states alike, and states beyond
+    # int64 (they too match no indicator).
+    state = st.one_of(
+        st.integers(min_value=-3, max_value=top + 3),
+        st.sampled_from([2**63, -(2**63) - 1, 2**70]),
+    )
     known = st.sampled_from(variables)
     with_unknown = st.sampled_from(variables + list(UNKNOWN))
     sparse = st.dictionaries(

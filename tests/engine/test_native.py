@@ -5,8 +5,9 @@ are **bit-identical** to the numpy executors — float64 forward and
 backward sweeps on any circuit; int64 fixed-point *and* emulated-float
 (mantissa, exponent) forward and backward sweeps on binary circuits,
 every rounding mode, overflow/underflow semantics and messages
-included; and the runtime-parameter entry points replaying θ batches
-against the frozen per-θ sequential oracles. The numpy executors stay
+included; and the runtime-parameter entry points replaying θ batches,
+each row bit-identical to a θ-free golden evaluation of the circuit
+re-parameterized with that row. The numpy executors stay
 the oracle (and they in turn are pinned against the scalar big-int
 backends elsewhere); here the three meet on random circuits.
 
@@ -21,8 +22,12 @@ import numpy as np
 import pytest
 
 from repro.arith import FixedPointFormat, FloatFormat, RoundingMode
-from repro.arith.fixedpoint import FixedPointOverflowError
-from repro.arith.floatingpoint import FloatOverflowError, FloatUnderflowError
+from repro.arith.fixedpoint import FixedPointBackend, FixedPointOverflowError
+from repro.arith.floatingpoint import (
+    FloatBackend,
+    FloatOverflowError,
+    FloatUnderflowError,
+)
 from repro.engine import (
     InferenceSession,
     ZeroEvidenceError,
@@ -37,13 +42,13 @@ from repro.engine import (
     tape_for,
 )
 from repro.engine.native import NativeBuildError
-from repro.engine.reference import (
-    reference_theta_fixed_words,
-    reference_theta_float_words,
-    reference_theta_forward,
-    reference_theta_partials,
-)
 from repro.engine.theta import normalize_theta, theta_param_matrix
+from tests.conftest import (
+    golden_theta_forward,
+    golden_theta_partials,
+    golden_theta_roots,
+    mantissas,
+)
 
 from .conftest import random_circuit, random_evidence_batch
 
@@ -400,30 +405,29 @@ class TestFloatEmulationDifferential:
 
 @needs_native
 class TestRuntimeParameterKernels:
-    """θ batches through the runtime-parameter kernel entry points,
-    pinned against the frozen per-θ sequential oracles (PR 7)."""
+    """θ batches through the runtime-parameter kernel entry points: each
+    row bit-identical to a θ-free golden evaluation of the circuit
+    re-parameterized with that row."""
 
     def _theta(self, tape, rows, seed=21):
         rng = np.random.default_rng(seed)
         return rng.uniform(0.05, 0.95, size=(rows, len(tape.param_values)))
 
-    def test_f64_theta_matches_frozen_oracle(self, sprinkler_binary):
+    def test_f64_theta_matches_golden(self, sprinkler_binary):
         tape = tape_for(sprinkler_binary)
         native = native_kernels_for(tape)
         theta = self._theta(tape, 9)
         matrix = theta_param_matrix(normalize_theta(tape, theta))
         batch = [{}] * 9
         got = native.evaluate_batch(batch, param_matrix=matrix)
-        want = reference_theta_forward(sprinkler_binary, theta, {})
+        want = golden_theta_forward(sprinkler_binary, theta, {})
         assert (got == want).all()
         values, partials = native.partials_batch(batch, param_matrix=matrix)
-        ref_values, ref_partials = reference_theta_partials(
-            sprinkler_binary, theta, {}
-        )
+        ref_values, ref_partials = golden_theta_partials(sprinkler_binary, theta, {})
         assert (values == ref_values).all()
         assert (partials == ref_partials).all()
 
-    def test_fixed_theta_words_match_frozen_oracle(self, sprinkler_binary):
+    def test_fixed_theta_words_match_golden(self, sprinkler_binary):
         tape = tape_for(sprinkler_binary)
         native = native_kernels_for(tape)
         theta = self._theta(tape, 7, seed=22)
@@ -433,12 +437,12 @@ class TestRuntimeParameterKernels:
             fmt = FixedPointFormat(8, 12, rounding)
             words = native.encode_theta(fmt, normalize_theta(tape, theta))
             got = native.fixed_forward_words(fmt, active, param_words=words)
-            want = reference_theta_fixed_words(
-                sprinkler_binary, fmt, theta, {}
+            want = mantissas(
+                golden_theta_roots(sprinkler_binary, FixedPointBackend(fmt), theta, {})
             )
             assert (got[root] == want).all(), fmt.describe()
 
-    def test_float_theta_words_match_frozen_oracle(self, sprinkler_binary):
+    def test_float_theta_words_match_golden(self, sprinkler_binary):
         tape = tape_for(sprinkler_binary)
         native = native_kernels_for(tape)
         theta = self._theta(tape, 7, seed=23)
@@ -450,9 +454,9 @@ class TestRuntimeParameterKernels:
             got_m, got_e = native.float_forward_words(
                 fmt, active, param_words=words
             )
-            want_m, want_e = reference_theta_float_words(
-                sprinkler_binary, fmt, theta, {}
-            )
+            roots = golden_theta_roots(sprinkler_binary, FloatBackend(fmt), theta, {})
+            want_m = mantissas(roots)
+            want_e = np.asarray([word.exponent for word in roots])
             assert (got_m[root] == want_m).all(), fmt.describe()
             assert (got_e[root] == want_e).all(), fmt.describe()
 

@@ -1,6 +1,6 @@
-"""θ-sweep tests: bit-identity against the frozen per-θ oracles,
-typed validation, per-row zero-evidence attribution, and the
-native-backend interplay (PR 7)."""
+"""θ-sweep tests: every row bit-identical to a θ-free golden evaluation
+of the circuit re-parameterized with that row, typed validation, per-row
+zero-evidence attribution, and the native-backend interplay."""
 
 from __future__ import annotations
 
@@ -8,20 +8,24 @@ import numpy as np
 import pytest
 
 from repro.arith import FixedPointFormat, FloatFormat
+from repro.arith.fixedpoint import FixedPointBackend
 from repro.engine import (
     InferenceSession,
+    QuantizedTapeEvaluator,
     ThetaShapeError,
     native_available,
     normalize_theta,
+    tape_for,
     theta_envelope_max_values,
 )
-from repro.engine.reference import (
-    reference_theta_fixed_partial_words,
-    reference_theta_fixed_words,
-    reference_theta_forward,
-    reference_theta_partials,
-)
 from repro.errors import ZeroEvidenceError
+from tests.conftest import (
+    golden_theta_forward,
+    golden_theta_partials,
+    golden_theta_roots,
+    mantissas,
+    reparameterized,
+)
 
 FIXED = FixedPointFormat(8, 12)
 
@@ -47,22 +51,20 @@ class TestFloatThetaSweeps:
         theta = theta_batch(session, 17)
         for evidence in ({}, {"Rain": 1}, {"Rain": 0, "Sprinkler": 1}):
             got = session.evaluate_theta_batch(theta, evidence)
-            want = reference_theta_forward(sprinkler_binary, theta, evidence)
+            want = golden_theta_forward(sprinkler_binary, theta, evidence)
             assert got.shape == (17,)
             assert (got == want).all()
 
     def test_forward_asia(self, asia_session, asia_binary):
         theta = theta_batch(asia_session, 9, seed=3)
         got = asia_session.evaluate_theta_batch(theta, {"Asia": 1})
-        want = reference_theta_forward(asia_binary, theta, {"Asia": 1})
+        want = golden_theta_forward(asia_binary, theta, {"Asia": 1})
         assert (got == want).all()
 
     def test_backward_bit_identical_to_oracle(self, session, sprinkler_binary):
         theta = theta_batch(session, 11, seed=1)
         values, partials = session.partials_batch([{}], theta=theta)
-        ref_values, ref_partials = reference_theta_partials(
-            sprinkler_binary, theta, {}
-        )
+        ref_values, ref_partials = golden_theta_partials(sprinkler_binary, theta, {})
         assert (values == ref_values).all()
         assert (partials == ref_partials).all()
 
@@ -72,7 +74,7 @@ class TestFloatThetaSweeps:
         got = session.evaluate_batch(batch, theta=theta)
         want = np.asarray(
             [
-                reference_theta_forward(sprinkler_binary, row[None], evidence)[0]
+                golden_theta_forward(sprinkler_binary, row[None], evidence)[0]
                 for row, evidence in zip(theta, batch)
             ]
         )
@@ -97,7 +99,7 @@ class TestFloatThetaSweeps:
     def test_marginals_batch_theta(self, session, sprinkler_binary):
         theta = theta_batch(session, 6, seed=5)
         marginals = session.marginals_batch([{}], theta=theta)
-        _, ref_partials = reference_theta_partials(sprinkler_binary, theta, {})
+        _, ref_partials = golden_theta_partials(sprinkler_binary, theta, {})
         index = session.marginal_index
         want = index.posteriors(ref_partials)
         for variable, got in marginals.items():
@@ -108,7 +110,9 @@ class TestQuantizedThetaSweeps:
     def test_fixed_forward_bit_identical(self, session, sprinkler_binary):
         theta = theta_batch(session, 13, seed=6)
         got = session.evaluate_quantized_batch(FIXED, [{}], theta=theta)
-        words = reference_theta_fixed_words(sprinkler_binary, FIXED, theta, {})
+        words = mantissas(
+            golden_theta_roots(sprinkler_binary, FixedPointBackend(FIXED), theta, {})
+        )
         assert (got == words * 2.0 ** (-FIXED.fraction_bits)).all()
 
     def test_fixed_backward_bit_identical(self, session, sprinkler_binary):
@@ -117,11 +121,14 @@ class TestQuantizedThetaSweeps:
         values, partials = executor.partials_batch_words(
             [{}] * 7, param_words=executor.encode_theta(theta)
         )
-        ref_values, ref_partials = reference_theta_fixed_partial_words(
-            sprinkler_binary, FIXED, theta, {}
-        )
-        assert (values == ref_values).all()
-        assert (partials == ref_partials).all()
+        backend = FixedPointBackend(FIXED)
+        for lane, row in enumerate(theta):
+            golden = QuantizedTapeEvaluator(
+                tape_for(reparameterized(sprinkler_binary, row))
+            ).partials(backend, {})
+            ref_values, ref_partials = map(mantissas, golden)
+            assert (values[:, lane] == ref_values).all()
+            assert (partials[:, lane] == ref_partials).all()
 
     def test_fixed_marginals_theta(self, session):
         theta = theta_batch(session, 5, seed=8)
@@ -137,7 +144,9 @@ class TestQuantizedThetaSweeps:
         assert not wide.fits_int64_products
         theta = theta_batch(session, 4, seed=9)
         got = session.evaluate_quantized_batch(wide, [{}], theta=theta)
-        words = reference_theta_fixed_words(sprinkler_binary, wide, theta, {})
+        words = mantissas(
+            golden_theta_roots(sprinkler_binary, FixedPointBackend(wide), theta, {})
+        )
         assert (got == words * 2.0 ** (-wide.fraction_bits)).all()
 
     def test_float_format_theta_matches_static_table(self, session):

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.arith import FixedPointFormat
+from repro.arith.fixedpoint import FixedPointBackend
 from repro.engine import session_for
-from repro.engine.reference import (
-    reference_theta_fixed_words,
-    reference_theta_forward,
-)
 from repro.experiments.landscape import (
     LandscapeResult,
     certify_landscape,
@@ -20,6 +17,7 @@ from repro.experiments.landscape import (
     render_landscape,
     run_landscape,
 )
+from tests.conftest import golden_theta_forward, golden_theta_roots, mantissas
 
 
 @pytest.fixture(scope="module")
@@ -91,17 +89,16 @@ class TestRunLandscape:
         assert result.quantized.shape == (8, 9)
         assert result.n_cells == 72
 
-    def test_exact_matches_frozen_oracle(self, pmap, result):
+    def test_exact_matches_golden(self, pmap, result):
         theta = landscape_theta(8, 9, pmap)
-        want = reference_theta_forward(
-            pmap.circuit, theta, {"Presence": 1}
-        ).reshape(8, 9)
+        want = golden_theta_forward(pmap.circuit, theta, {"Presence": 1}).reshape(8, 9)
         assert (result.exact == want).all()
 
-    def test_quantized_matches_frozen_oracle(self, pmap, result):
+    def test_quantized_matches_golden(self, pmap, result):
         theta = landscape_theta(8, 9, pmap)
-        words = reference_theta_fixed_words(
-            pmap.circuit, result.fmt, theta, {"Presence": 1}
+        backend = FixedPointBackend(result.fmt)
+        words = mantissas(
+            golden_theta_roots(pmap.circuit, backend, theta, {"Presence": 1})
         )
         want = (words * 2.0 ** (-result.fmt.fraction_bits)).reshape(8, 9)
         assert (result.quantized == want).all()

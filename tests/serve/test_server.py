@@ -29,6 +29,9 @@ FLOAT = FloatFormat(8, 14)
 #: (P(WetGrass=1 | Sprinkler=0, Rain=0) = 0).
 ZERO_EVIDENCE = {"Sprinkler": 0, "Rain": 0, "WetGrass": 1}
 
+#: Evidence on a state no int64 holds.
+BEYOND_INT64 = {"Rain": 2**70}
+
 
 @pytest.fixture(scope="module")
 def registry():
@@ -107,6 +110,9 @@ class TestBitIdentical:
         self, client, registry, sprinkler_batch
     ):
         session = registry.entry("sprinkler").session
+        # A state beyond int64 matches no indicator: probability 0.0.
+        batch = [*sprinkler_batch, BEYOND_INT64]
+        assert session.evaluate(BEYOND_INT64) == 0.0
         for fmt in (None, FIXED, FLOAT):
             requests = [
                 {
@@ -115,14 +121,12 @@ class TestBitIdentical:
                     "evidence": evidence,
                     **({"format": f"{spec}"} if (spec := _spec(fmt)) else {}),
                 }
-                for evidence in sprinkler_batch
+                for evidence in batch
             ]
             responses = client.request_many(requests)
-            exact = session.evaluate_batch(sprinkler_batch, strict=True)
+            exact = session.evaluate_batch(batch, strict=True)
             quantized = (
-                session.evaluate_quantized_batch(
-                    fmt, sprinkler_batch, strict=True
-                )
+                session.evaluate_quantized_batch(fmt, batch, strict=True)
                 if fmt is not None
                 else None
             )
