@@ -1,16 +1,18 @@
 """Native compiled-tape backend: fused C kernels for tape replay.
 
-Lowers a compiled :class:`~repro.engine.tape.Tape` (and its
-:class:`~repro.engine.tape.BackwardProgram`) to a single fused C
-translation unit — float64 forward/backward with lane-blocked,
+One tape-generic C module — float64 forward/backward with lane-blocked,
 vectorizable batch loops, exact int64 fixed-point forward/backward, and
 the emulated-float (mantissa, exponent) word sweeps with
-guard/round/sticky rounding — built via cffi at first use and cached on
-disk by content hash. Every kernel reads its parameter table from a
-runtime pointer (shared or per-lane), so θ-sweeps replay natively
-without recompiling. The numpy executors remain the semantic oracle:
-every native kernel is differentially pinned bit-identical to them
-(see ``tests/engine/test_native.py``).
+guard/round/sticky rounding — replays every compiled
+:class:`~repro.engine.tape.Tape`: the kernels read the tape's op arrays
+and parameter/indicator tables at run time. The module is built via
+cffi at first use, once per process, and cached on disk under a hash of
+the codegen version and kernel source, so no tape ever pays a compile
+of its own. Every kernel also reads its parameter table from a runtime
+pointer (shared or per-lane), so θ-sweeps replay natively too. The
+numpy executors remain the semantic oracle: every native kernel is
+differentially pinned bit-identical to them (see
+``tests/engine/test_native.py``).
 
 The package degrades gracefully: when cffi or a C compiler is missing,
 :func:`native_available` is False (with the reason kept) and
@@ -22,21 +24,20 @@ and the CLI ``--backend`` flag.
 
 from .build import (
     NativeBuildError,
-    build_kernel_module,
     cache_dir,
+    kernel_module,
     native_available,
     native_unavailable_reason,
 )
-from .codegen import CODEGEN_VERSION, generate_source
+from .codegen import CODEGEN_VERSION
 from .kernels import NativeTapeKernels, native_kernels_for
 
 __all__ = [
     "CODEGEN_VERSION",
     "NativeBuildError",
     "NativeTapeKernels",
-    "build_kernel_module",
     "cache_dir",
-    "generate_source",
+    "kernel_module",
     "native_available",
     "native_kernels_for",
     "native_unavailable_reason",

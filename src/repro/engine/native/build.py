@@ -1,23 +1,25 @@
-"""cffi compilation and on-disk caching of generated tape kernels.
+"""cffi compilation and on-disk caching of the kernel module.
 
-Modules are keyed by a content hash of the generated C source (which
-itself encodes the whole tape) plus the cdef and codegen version, so a
-tape recompiled in another process — or another CI step — reuses the
-cached shared object instead of invoking the C compiler again. The
-cache directory is ``$PROBLP_NATIVE_CACHE`` when set, else
-``$XDG_CACHE_HOME/problp/native`` (defaulting under ``~/.cache``).
+There is one kernel module: the kernels take the tape as a runtime
+argument (see :mod:`repro.engine.native.codegen`), so every tape in a
+process shares it. The module is built or loaded at most once per
+process, and its cached shared object is keyed by a hash of the codegen
+version, the cdef and the kernel source — never by tape — so another
+process, or another CI step, reuses it instead of invoking the C
+compiler again. The cache directory is ``$PROBLP_NATIVE_CACHE`` when
+set, else ``$XDG_CACHE_HOME/problp/native`` (defaulting under
+``~/.cache``).
 
 Builds are cross-process safe: each process compiles into its own
 temporary subdirectory and atomically ``os.replace``s the finished
 shared object into the cache, so racers simply overwrite each other
 with identical artifacts.
 
-Availability is probed by actually compiling a trivial module once per
-process (the probe is disk-cached too, so only the very first run pays
-the compiler): anything that breaks the toolchain — cffi missing, no C
-compiler, unwritable cache — flips :func:`native_available` to False
-with the reason preserved for diagnostics, and callers fall back to the
-numpy executors.
+:func:`native_available` is "the kernel module builds and loads": the
+first attempt's outcome is kept for the life of the process, so
+anything that breaks the toolchain — cffi missing, no C compiler,
+unwritable cache — flips it to False once, with the reason preserved
+for diagnostics, and callers fall back to the numpy executors.
 """
 
 from __future__ import annotations
@@ -26,20 +28,18 @@ import hashlib
 import importlib.util
 import os
 import shutil
-import sys
 import tempfile
 import threading
 import time
 from typing import Any
 
 from ...obs.metrics import REGISTRY
-from ..memo import KeyedMemo
-from .codegen import CODEGEN_VERSION, KERNEL_CDEF
+from .codegen import CODEGEN_VERSION, KERNEL_CDEF, KERNEL_SOURCE
 
 __all__ = [
     "NativeBuildError",
-    "build_kernel_module",
     "cache_dir",
+    "kernel_module",
     "native_available",
     "native_unavailable_reason",
 ]
@@ -49,7 +49,7 @@ __all__ = [
 #: and an add into a single differently-rounded instruction. The
 #: explicit vectorizer flags matter at -O2: gcc 12's default
 #: "very-cheap" cost model refuses most of the generated lane loops,
-#: and the ``#pragma GCC ivdep`` annotations in the codegen only lift
+#: and the ``#pragma GCC ivdep`` annotations in the kernels only lift
 #: the aliasing half of that veto. SIMD reorders nothing the kernels
 #: compute lane-wise, so vectorization cannot change a single rounding.
 _COMPILE_ARGS = [
@@ -58,9 +58,6 @@ _COMPILE_ARGS = [
     "-fvect-cost-model=dynamic",
     "-ffp-contract=off",
 ]
-
-_PROBE_CDEF = "int problp_native_probe(void);"
-_PROBE_SOURCE = "int problp_native_probe(void) { return 42; }\n"
 
 _BUILD_TOTAL = REGISTRY.counter(
     "problp_native_build_total",
@@ -75,11 +72,11 @@ _CC_SECONDS = REGISTRY.histogram(
 
 
 class NativeBuildError(RuntimeError):
-    """Generating/compiling/loading a native kernel module failed."""
+    """Compiling or loading the native kernel module failed."""
 
 
 def cache_dir() -> str:
-    """The directory generated kernels are compiled into and loaded from."""
+    """The directory the kernel module is compiled into and loaded from."""
     configured = os.environ.get("PROBLP_NATIVE_CACHE")
     if configured:
         return configured
@@ -89,11 +86,9 @@ def cache_dir() -> str:
     return os.path.join(xdg, "problp", "native")
 
 
-def _module_name(source: str) -> str:
-    digest = hashlib.sha256(
-        f"v{CODEGEN_VERSION}\n{KERNEL_CDEF}\n{source}".encode()
-    ).hexdigest()
-    return f"_problp_tape_{digest[:16]}"
+_MODULE_NAME = "_problp_kernels_" + hashlib.sha256(
+    f"v{CODEGEN_VERSION}\n{KERNEL_CDEF}\n{KERNEL_SOURCE}".encode()
+).hexdigest()[:16]
 
 
 def _extension_suffix() -> str:
@@ -111,8 +106,8 @@ def _load_extension(name: str, path: str) -> Any:
     return module
 
 
-def _compile_into_cache(name: str, cdef: str, source: str) -> str:
-    """Compile one module into the cache dir; returns the .so path."""
+def _compile_into_cache() -> str:
+    """Compile the kernel module into the cache dir; returns the .so path."""
     try:
         from cffi import FFI
     except ImportError as error:
@@ -121,16 +116,18 @@ def _compile_into_cache(name: str, cdef: str, source: str) -> str:
 
     directory = cache_dir()
     os.makedirs(directory, exist_ok=True)
-    final_path = os.path.join(directory, name + _extension_suffix())
+    final_path = os.path.join(directory, _MODULE_NAME + _extension_suffix())
     if os.path.exists(final_path):
         _BUILD_TOTAL.labels("disk_hit").inc()
         return final_path
-    workdir = tempfile.mkdtemp(prefix=name + ".", dir=directory)
+    workdir = tempfile.mkdtemp(prefix=_MODULE_NAME + ".", dir=directory)
     started = time.monotonic()
     try:
         ffi = FFI()
-        ffi.cdef(cdef)
-        ffi.set_source(name, source, extra_compile_args=_COMPILE_ARGS)
+        ffi.cdef(KERNEL_CDEF)
+        ffi.set_source(
+            _MODULE_NAME, KERNEL_SOURCE, extra_compile_args=_COMPILE_ARGS
+        )
         built = ffi.compile(tmpdir=workdir)
         os.replace(built, final_path)
     except NativeBuildError:
@@ -148,51 +145,41 @@ def _compile_into_cache(name: str, cdef: str, source: str) -> str:
     return final_path
 
 
-#: Per-process module cache: one load per source hash, builds outside
-#: the lock so different tapes compile in parallel.
-_MODULE_MEMO: KeyedMemo = KeyedMemo(name="native_module")
-
-_AVAILABILITY_LOCK = threading.Lock()
-_availability: bool | None = None
-_unavailable_reason: str | None = None
+_MODULE_LOCK = threading.Lock()
+#: ``(module, None)`` or ``(None, failure reason)`` once the first
+#: build/load attempt of this process has finished.
+_module_outcome: tuple[Any, str | None] | None = None
 
 
-def build_kernel_module(source: str) -> Any:
-    """The compiled+loaded cffi module for a generated source (cached).
+def _kernel_module_outcome() -> tuple[Any, str | None]:
+    global _module_outcome
+    with _MODULE_LOCK:
+        if _module_outcome is None:
+            try:
+                module = _load_extension(_MODULE_NAME, _compile_into_cache())
+                _module_outcome = (module, None)
+            except Exception as error:
+                _module_outcome = (None, str(error))
+        return _module_outcome
+
+
+def kernel_module() -> Any:
+    """The compiled+loaded cffi kernel module of this process.
 
     Raises :class:`NativeBuildError` when the toolchain is unavailable
-    or the build fails; callers treat that as "fall back to numpy".
+    or the build failed; callers treat that as "fall back to numpy".
     """
-    name = _module_name(source)
-    return _MODULE_MEMO.get(
-        name,
-        lambda: _load_extension(name, _compile_into_cache(name, KERNEL_CDEF, source)),
-    )
+    module, reason = _kernel_module_outcome()
+    if module is None:
+        raise NativeBuildError(reason)
+    return module
 
 
 def native_available() -> bool:
-    """True when native kernels can be built (or loaded) in this process.
-
-    Probes by compiling a trivial module once; the result (and the
-    failure reason, see :func:`native_unavailable_reason`) is cached for
-    the life of the process.
-    """
-    global _availability, _unavailable_reason
-    with _AVAILABILITY_LOCK:
-        if _availability is None:
-            probe = f"_problp_probe_{sys.hexversion:x}"
-            try:
-                _load_extension(
-                    probe, _compile_into_cache(probe, _PROBE_CDEF, _PROBE_SOURCE)
-                )
-                _availability = True
-            except Exception as error:
-                _availability = False
-                _unavailable_reason = str(error)
-        return _availability
+    """True when the kernel module builds and loads in this process."""
+    return _kernel_module_outcome()[0] is not None
 
 
 def native_unavailable_reason() -> str | None:
     """Why native kernels are unavailable, or ``None`` when they work."""
-    native_available()
-    return _unavailable_reason
+    return _kernel_module_outcome()[1]

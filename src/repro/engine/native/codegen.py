@@ -1,9 +1,12 @@
-"""C source generation for one compiled tape.
+"""The one tape-generic C kernel module.
 
-The generated translation unit bakes the whole tape — forward and
-reversed op streams, the parameter/indicator tables, float64 parameter
-values as C99 hex literals — into ``static const`` arrays and exposes
-six fused kernels over row-major ``(num_slots, batch)`` slot matrices:
+Nothing in the kernels depends on a particular circuit: they read the
+tape at run time through a ``problp_tape`` struct — the op count, table
+sizes, slot count, root and pointers to the tape's int32 ``opcodes`` /
+``dests`` / ``lefts`` / ``rights`` / ``param_slots`` / ``param_ids`` /
+``indicator_slots`` arrays — so a single compiled module serves every
+tape in the process. It exposes six fused kernels over row-major
+``(num_slots, batch)`` slot matrices:
 
 * ``f64_forward`` / ``f64_backward`` — IEEE float64 replay, bit-identical
   to the numpy executors because both apply the same ops in the same
@@ -26,13 +29,18 @@ six fused kernels over row-major ``(num_slots, batch)`` slot matrices:
   zero short-circuits as (0, 0) pairs, and overflow-before-underflow
   error ordering per operator.
 
+The backward kernels walk the forward op arrays in reverse
+(``op = n_ops-1 … 0``), exactly the order of
+:attr:`~repro.engine.tape.Tape.backward`. Every kernel copies the struct
+fields it reads into local ``const`` variables on entry, so the op loops
+never reload them through the struct pointer.
+
 **Runtime parameters.** Every kernel reads its deduplicated parameter
-table through a runtime pointer: passing NULL (float64 only) falls back
-to the baked ``PVAL`` constants, passing ``per_lane=0`` broadcasts one
-table across the batch, and ``per_lane=1`` reads a lane-major
-``(n_params, batch)`` matrix — one parameter table per lane — which is
-what routes θ-sweeps (``evaluate_theta_batch`` and friends) through the
-native backend. One compiled module serves both modes.
+table through a runtime pointer: ``per_lane=0`` broadcasts one table
+across the batch (the tape's own ``param_values`` for θ-free float64
+calls), and ``per_lane=1`` reads a lane-major ``(n_params, batch)``
+matrix — one parameter table per lane — which is what routes θ-sweeps
+(``evaluate_theta_batch`` and friends) through the native backend.
 
 Error-attribution parity pins the loop structure: the numpy executors
 compute a whole op row, then check it (``.max()`` / ``.any()``), so the
@@ -53,37 +61,56 @@ numpy's floor-shift semantics.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..tape import Tape
-
 #: Bump when kernel semantics change — part of the build cache key.
 #: v2: runtime-parameter entry points, float-emulation kernels,
-#: lane-blocked float64 sweeps.
-CODEGEN_VERSION = 2
+#: lane-blocked float64 sweeps. v3: the tape itself is a runtime
+#: argument; one module serves every tape.
+CODEGEN_VERSION = 3
 
-#: The cffi declarations of every generated tape module.
-KERNEL_CDEF = """
-void f64_forward(const double *params, int64_t per_lane,
-                 const uint8_t *active, double *slots, int64_t batch);
-void f64_backward(const double *params, int64_t per_lane,
-                  const uint8_t *active, double *slots, double *partials,
-                  int64_t batch);
-int64_t fixed_forward(const int64_t *params, int64_t per_lane,
-                      const uint8_t *active, int64_t batch,
+#: The runtime tape every kernel reads (declared to cffi and to C alike).
+#: ``root`` is -1 for rootless tapes, which only reach forward kernels.
+_TAPE_STRUCT = """
+typedef struct {
+    int32_t n_ops;
+    int32_t n_params;
+    int32_t n_indicators;
+    int32_t num_slots;
+    int32_t root;
+    const int32_t *opcodes;
+    const int32_t *dests;
+    const int32_t *lefts;
+    const int32_t *rights;
+    const int32_t *param_slots;
+    const int32_t *param_ids;
+    const int32_t *indicator_slots;
+} problp_tape;
+"""
+
+#: The cffi declarations of the kernel module.
+KERNEL_CDEF = _TAPE_STRUCT + """
+void f64_forward(const problp_tape *tape, const double *params,
+                 int64_t per_lane, const uint8_t *active, double *slots,
+                 int64_t batch);
+void f64_backward(const problp_tape *tape, const double *params,
+                  int64_t per_lane, const uint8_t *active, double *slots,
+                  double *partials, int64_t batch);
+int64_t fixed_forward(const problp_tape *tape, const int64_t *params,
+                      int64_t per_lane, const uint8_t *active, int64_t batch,
                       int32_t frac_bits, int64_t max_word, int64_t one_word,
                       int32_t rounding, int64_t *slots);
-int64_t fixed_backward(const int64_t *params, int64_t per_lane,
-                       const uint8_t *active, int64_t batch,
+int64_t fixed_backward(const problp_tape *tape, const int64_t *params,
+                       int64_t per_lane, const uint8_t *active, int64_t batch,
                        int32_t frac_bits, int64_t max_word, int64_t one_word,
                        int32_t rounding, int64_t *slots, int64_t *adjoints);
-int64_t flt_forward(const int64_t *param_m, const int64_t *param_e,
-                    int64_t per_lane, const uint8_t *active, int64_t batch,
+int64_t flt_forward(const problp_tape *tape, const int64_t *param_m,
+                    const int64_t *param_e, int64_t per_lane,
+                    const uint8_t *active, int64_t batch,
                     int32_t mantissa_bits, int64_t min_exponent,
                     int64_t max_exponent, int64_t one_m, int64_t one_e,
                     int32_t rounding, int64_t *m_slots, int64_t *e_slots);
-int64_t flt_backward(const int64_t *param_m, const int64_t *param_e,
-                     int64_t per_lane, const uint8_t *active, int64_t batch,
+int64_t flt_backward(const problp_tape *tape, const int64_t *param_m,
+                     const int64_t *param_e, int64_t per_lane,
+                     const uint8_t *active, int64_t batch,
                      int32_t mantissa_bits, int64_t min_exponent,
                      int64_t max_exponent, int64_t one_m, int64_t one_e,
                      int32_t rounding, int64_t *m_slots, int64_t *e_slots,
@@ -98,74 +125,22 @@ ROUND_TRUNCATE, ROUND_NEAREST_UP, ROUND_NEAREST_EVEN = 0, 1, 2
 FLT_OK, FLT_OVERFLOW, FLT_UNDERFLOW = -1, 1, 2
 
 
-def _c_int_array(name: str, values: np.ndarray | list[int]) -> str:
-    items = [str(int(v)) for v in values]
-    if not items:
-        # C forbids zero-length arrays; the matching N_* constant is 0,
-        # so the dummy entry is never read.
-        items = ["0"]
-    body = _wrap(items)
-    return f"static const int32_t {name}[] = {{\n{body}\n}};"
-
-
-def _c_double_array(name: str, values: np.ndarray) -> str:
-    items = []
-    for value in values:
-        value = float(value)
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ValueError(
-                f"non-finite parameter value {value!r} cannot be lowered "
-                f"to a C literal"
-            )
-        # C99 hex float literals reproduce the double bit-for-bit.
-        items.append(value.hex())
-    if not items:
-        items = ["0x0.0p+0"]
-    body = _wrap(items)
-    return f"static const double {name}[] = {{\n{body}\n}};"
-
-
-def _wrap(items: list[str], per_line: int = 12) -> str:
-    lines = []
-    for start in range(0, len(items), per_line):
-        lines.append("    " + ", ".join(items[start : start + per_line]) + ",")
-    return "\n".join(lines)
-
-
-def generate_source(tape: Tape) -> str:
-    """The complete C translation unit for one tape."""
-    backward = tape.backward
-    root = tape.require_root() if tape.root is not None else -1
-    parts = [
-        "#include <stdint.h>",
-        "#include <string.h>",
-        "",
-        f"/* tape {tape.name!r}: {tape.num_operations} ops, "
-        f"{tape.num_slots} slots (codegen v{CODEGEN_VERSION}) */",
-        f"#define N_OPS {tape.num_operations}",
-        f"#define N_PARAMS {len(tape.param_slots)}",
-        f"#define N_INDICATORS {len(tape.indicator_slots)}",
-        f"#define NUM_SLOTS {tape.num_slots}",
-        f"#define ROOT {root}",
-        "",
-        _c_int_array("OPC", tape.opcodes),
-        _c_int_array("DST", tape.dests),
-        _c_int_array("LFT", tape.lefts),
-        _c_int_array("RGT", tape.rights),
-        _c_int_array("BOPC", backward.opcodes),
-        _c_int_array("BDST", backward.dests),
-        _c_int_array("BLFT", backward.lefts),
-        _c_int_array("BRGT", backward.rights),
-        _c_int_array("PSLOT", tape.param_slots),
-        _c_int_array("PID", tape.param_ids),
-        _c_double_array("PVAL", tape.param_values),
-        _c_int_array("ISLOT", tape.indicator_slots),
-        _KERNEL_TEMPLATE,
-    ]
-    return "\n".join(parts)
-
-
 _KERNEL_TEMPLATE = r"""
+/* Local const copies of the tape fields a kernel reads, taken once on
+ * entry so the op loops never reload them through the struct pointer. */
+#define TAPE_OPS(t)                                                     \
+    const int32_t n_ops = (t)->n_ops;                                   \
+    const int32_t *const opc = (t)->opcodes;                            \
+    const int32_t *const dst = (t)->dests;                              \
+    const int32_t *const lft = (t)->lefts;                              \
+    const int32_t *const rgt = (t)->rights
+#define TAPE_LEAVES(t)                                                  \
+    const int32_t n_params = (t)->n_params;                             \
+    const int32_t n_indicators = (t)->n_indicators;                     \
+    const int32_t *const pslot = (t)->param_slots;                      \
+    const int32_t *const pid = (t)->param_ids;                          \
+    const int32_t *const islot = (t)->indicator_slots
+
 /* ------------------------------------------------------------------ */
 /* float64 kernels (lane-blocked, vectorizable)                        */
 /* ------------------------------------------------------------------ */
@@ -174,38 +149,40 @@ _KERNEL_TEMPLATE = r"""
  * leaving full-width SIMD lanes to the vectorizer. */
 #define LANE_BLOCK 64
 
-static void seed_f64(const double *params, int64_t per_lane,
-                     const uint8_t *active, double *slots, int64_t batch,
-                     int64_t j0, int64_t j1)
+static void seed_f64(const problp_tape *t, const double *params,
+                     int64_t per_lane, const uint8_t *active, double *slots,
+                     int64_t batch, int64_t j0, int64_t j1)
 {
-    for (int32_t i = 0; i < N_PARAMS; i++) {
-        double *row = slots + (int64_t)PSLOT[i] * batch;
+    TAPE_LEAVES(t);
+    for (int32_t i = 0; i < n_params; i++) {
+        double *row = slots + (int64_t)pslot[i] * batch;
         if (per_lane) {
-            const double *src = params + (int64_t)PID[i] * batch;
+            const double *src = params + (int64_t)pid[i] * batch;
             #pragma GCC ivdep
             for (int64_t j = j0; j < j1; j++) row[j] = src[j];
         } else {
-            const double value = params[PID[i]];
+            const double value = params[pid[i]];
             #pragma GCC ivdep
             for (int64_t j = j0; j < j1; j++) row[j] = value;
         }
     }
-    for (int32_t i = 0; i < N_INDICATORS; i++) {
+    for (int32_t i = 0; i < n_indicators; i++) {
         const uint8_t *lane = active + (int64_t)i * batch;
-        double *row = slots + (int64_t)ISLOT[i] * batch;
+        double *row = slots + (int64_t)islot[i] * batch;
         #pragma GCC ivdep
         for (int64_t j = j0; j < j1; j++) row[j] = lane[j] ? 1.0 : 0.0;
     }
 }
 
-static void f64_forward_block(double *slots, int64_t batch, int64_t j0,
-                              int64_t j1)
+static void f64_forward_block(const problp_tape *t, double *slots,
+                              int64_t batch, int64_t j0, int64_t j1)
 {
-    for (int32_t op = 0; op < N_OPS; op++) {
-        const double *L = slots + (int64_t)LFT[op] * batch;
-        const double *R = slots + (int64_t)RGT[op] * batch;
-        double *D = slots + (int64_t)DST[op] * batch;
-        switch (OPC[op]) {
+    TAPE_OPS(t);
+    for (int32_t op = 0; op < n_ops; op++) {
+        const double *L = slots + (int64_t)lft[op] * batch;
+        const double *R = slots + (int64_t)rgt[op] * batch;
+        double *D = slots + (int64_t)dst[op] * batch;
+        switch (opc[op]) {
         case 0: /* SUM */
             #pragma GCC ivdep
             for (int64_t j = j0; j < j1; j++) D[j] = L[j] + R[j];
@@ -226,39 +203,38 @@ static void f64_forward_block(double *slots, int64_t batch, int64_t j0,
     }
 }
 
-void f64_forward(const double *params, int64_t per_lane,
-                 const uint8_t *active, double *slots, int64_t batch)
+void f64_forward(const problp_tape *tape, const double *params,
+                 int64_t per_lane, const uint8_t *active, double *slots,
+                 int64_t batch)
 {
-    const double *table = params ? params : PVAL;
     for (int64_t j0 = 0; j0 < batch; j0 += LANE_BLOCK) {
         const int64_t j1 =
             batch - j0 < LANE_BLOCK ? batch : j0 + LANE_BLOCK;
-        seed_f64(table, per_lane, active, slots, batch, j0, j1);
-        f64_forward_block(slots, batch, j0, j1);
+        seed_f64(tape, params, per_lane, active, slots, batch, j0, j1);
+        f64_forward_block(tape, slots, batch, j0, j1);
     }
 }
 
-void f64_backward(const double *params, int64_t per_lane,
-                  const uint8_t *active, double *slots, double *partials,
-                  int64_t batch)
+void f64_backward(const problp_tape *tape, const double *params,
+                  int64_t per_lane, const uint8_t *active, double *slots,
+                  double *partials, int64_t batch)
 {
-    const double *table = params ? params : PVAL;
-    memset(partials, 0, (size_t)NUM_SLOTS * (size_t)batch * sizeof(double));
+    TAPE_OPS(tape);
+    double *const root_row = partials + (int64_t)tape->root * batch;
+    memset(partials, 0,
+           (size_t)tape->num_slots * (size_t)batch * sizeof(double));
     for (int64_t j0 = 0; j0 < batch; j0 += LANE_BLOCK) {
         const int64_t j1 =
             batch - j0 < LANE_BLOCK ? batch : j0 + LANE_BLOCK;
-        seed_f64(table, per_lane, active, slots, batch, j0, j1);
-        f64_forward_block(slots, batch, j0, j1);
-        {
-            double *root_row = partials + (int64_t)ROOT * batch;
-            #pragma GCC ivdep
-            for (int64_t j = j0; j < j1; j++) root_row[j] = 1.0;
-        }
-        for (int32_t op = 0; op < N_OPS; op++) {
-            const double *S = partials + (int64_t)BDST[op] * batch;
-            double *PL = partials + (int64_t)BLFT[op] * batch;
-            double *PR = partials + (int64_t)BRGT[op] * batch;
-            switch (BOPC[op]) {
+        seed_f64(tape, params, per_lane, active, slots, batch, j0, j1);
+        f64_forward_block(tape, slots, batch, j0, j1);
+        #pragma GCC ivdep
+        for (int64_t j = j0; j < j1; j++) root_row[j] = 1.0;
+        for (int32_t op = n_ops - 1; op >= 0; op--) {
+            const double *S = partials + (int64_t)dst[op] * batch;
+            double *PL = partials + (int64_t)lft[op] * batch;
+            double *PR = partials + (int64_t)rgt[op] * batch;
+            switch (opc[op]) {
             case 0: /* SUM: adjoints flow through unscaled */
                 #pragma GCC ivdep
                 for (int64_t j = j0; j < j1; j++) PL[j] += S[j];
@@ -266,8 +242,8 @@ void f64_backward(const double *params, int64_t per_lane,
                 for (int64_t j = j0; j < j1; j++) PR[j] += S[j];
                 break;
             case 1: { /* PRODUCT: product rule with the forward siblings */
-                const double *VL = slots + (int64_t)BLFT[op] * batch;
-                const double *VR = slots + (int64_t)BRGT[op] * batch;
+                const double *VL = slots + (int64_t)lft[op] * batch;
+                const double *VR = slots + (int64_t)rgt[op] * batch;
                 #pragma GCC ivdep
                 for (int64_t j = j0; j < j1; j++) PL[j] += S[j] * VR[j];
                 #pragma GCC ivdep
@@ -310,7 +286,7 @@ void f64_backward(const double *params, int64_t per_lane,
             bad |= v > max_word;                                        \
             D[j] = v;                                                   \
         }                                                               \
-        if (bad) return DST[op];                                        \
+        if (bad) return dst[op];                                        \
     } while (0)
 
 /* One checked adjoint accumulation row: contribution check before add
@@ -328,45 +304,46 @@ void f64_backward(const double *params, int64_t per_lane,
         if (bad) return (DEST);                                         \
     } while (0)
 
-static void seed_fixed(const int64_t *params, int64_t per_lane,
-                       const uint8_t *active, int64_t batch,
-                       int64_t one_word, int64_t *slots)
+static void seed_fixed(const problp_tape *t, const int64_t *params,
+                       int64_t per_lane, const uint8_t *active,
+                       int64_t batch, int64_t one_word, int64_t *slots)
 {
-    for (int32_t i = 0; i < N_PARAMS; i++) {
-        int64_t *row = slots + (int64_t)PSLOT[i] * batch;
+    TAPE_LEAVES(t);
+    for (int32_t i = 0; i < n_params; i++) {
+        int64_t *row = slots + (int64_t)pslot[i] * batch;
         if (per_lane) {
-            const int64_t *src = params + (int64_t)PID[i] * batch;
+            const int64_t *src = params + (int64_t)pid[i] * batch;
             #pragma GCC ivdep
             for (int64_t j = 0; j < batch; j++) row[j] = src[j];
         } else {
-            const int64_t value = params[PID[i]];
+            const int64_t value = params[pid[i]];
             #pragma GCC ivdep
             for (int64_t j = 0; j < batch; j++) row[j] = value;
         }
     }
-    for (int32_t i = 0; i < N_INDICATORS; i++) {
+    for (int32_t i = 0; i < n_indicators; i++) {
         const uint8_t *lane = active + (int64_t)i * batch;
-        int64_t *row = slots + (int64_t)ISLOT[i] * batch;
+        int64_t *row = slots + (int64_t)islot[i] * batch;
         #pragma GCC ivdep
         for (int64_t j = 0; j < batch; j++) row[j] = lane[j] ? one_word : 0;
     }
 }
 
-static int64_t fixed_forward_sweep(const int64_t *params, int64_t per_lane,
-                                   const uint8_t *active, int64_t batch,
-                                   int32_t frac_bits, int64_t max_word,
-                                   int64_t one_word, int32_t rounding,
-                                   int64_t *slots)
+int64_t fixed_forward(const problp_tape *tape, const int64_t *params,
+                      int64_t per_lane, const uint8_t *active, int64_t batch,
+                      int32_t frac_bits, int64_t max_word, int64_t one_word,
+                      int32_t rounding, int64_t *slots)
 {
+    TAPE_OPS(tape);
     const int64_t frac_mask =
         frac_bits > 0 ? ((int64_t)1 << frac_bits) - 1 : 0;
     const int64_t half = frac_bits > 0 ? (int64_t)1 << (frac_bits - 1) : 0;
-    seed_fixed(params, per_lane, active, batch, one_word, slots);
-    for (int32_t op = 0; op < N_OPS; op++) {
-        const int64_t *L = slots + (int64_t)LFT[op] * batch;
-        const int64_t *R = slots + (int64_t)RGT[op] * batch;
-        int64_t *D = slots + (int64_t)DST[op] * batch;
-        switch (OPC[op]) {
+    seed_fixed(tape, params, per_lane, active, batch, one_word, slots);
+    for (int32_t op = 0; op < n_ops; op++) {
+        const int64_t *L = slots + (int64_t)lft[op] * batch;
+        const int64_t *R = slots + (int64_t)rgt[op] * batch;
+        int64_t *D = slots + (int64_t)dst[op] * batch;
+        switch (opc[op]) {
         case 0: /* SUM: exact adder, checked */
             FX_OP_ROW(L[j] + R[j]);
             break;
@@ -387,67 +364,59 @@ static int64_t fixed_forward_sweep(const int64_t *params, int64_t per_lane,
     return -1;
 }
 
-int64_t fixed_forward(const int64_t *params, int64_t per_lane,
-                      const uint8_t *active, int64_t batch,
-                      int32_t frac_bits, int64_t max_word, int64_t one_word,
-                      int32_t rounding, int64_t *slots)
-{
-    return fixed_forward_sweep(params, per_lane, active, batch, frac_bits,
-                               max_word, one_word, rounding, slots);
-}
-
-int64_t fixed_backward(const int64_t *params, int64_t per_lane,
-                       const uint8_t *active, int64_t batch,
+int64_t fixed_backward(const problp_tape *tape, const int64_t *params,
+                       int64_t per_lane, const uint8_t *active, int64_t batch,
                        int32_t frac_bits, int64_t max_word, int64_t one_word,
                        int32_t rounding, int64_t *slots, int64_t *adjoints)
 {
+    TAPE_OPS(tape);
     const int64_t frac_mask =
         frac_bits > 0 ? ((int64_t)1 << frac_bits) - 1 : 0;
     const int64_t half = frac_bits > 0 ? (int64_t)1 << (frac_bits - 1) : 0;
     const int64_t status =
-        fixed_forward_sweep(params, per_lane, active, batch, frac_bits,
-                            max_word, one_word, rounding, slots);
+        fixed_forward(tape, params, per_lane, active, batch, frac_bits,
+                      max_word, one_word, rounding, slots);
     if (status >= 0) return status;
-    memset(adjoints, 0, (size_t)NUM_SLOTS * (size_t)batch * sizeof(int64_t));
+    memset(adjoints, 0,
+           (size_t)tape->num_slots * (size_t)batch * sizeof(int64_t));
     {
-        int64_t *root_row = adjoints + (int64_t)ROOT * batch;
+        int64_t *root_row = adjoints + (int64_t)tape->root * batch;
         for (int64_t j = 0; j < batch; j++) root_row[j] = one_word;
     }
-    for (int32_t op = 0; op < N_OPS; op++) {
-        const int64_t *S = adjoints + (int64_t)BDST[op] * batch;
-        int64_t *AL = adjoints + (int64_t)BLFT[op] * batch;
-        int64_t *AR = adjoints + (int64_t)BRGT[op] * batch;
-        switch (BOPC[op]) {
+    for (int32_t op = n_ops - 1; op >= 0; op--) {
+        const int64_t *S = adjoints + (int64_t)dst[op] * batch;
+        int64_t *AL = adjoints + (int64_t)lft[op] * batch;
+        int64_t *AR = adjoints + (int64_t)rgt[op] * batch;
+        switch (opc[op]) {
         case 0: /* SUM: left phase then right phase, like the numpy path */
-            FX_ADJ_ROW(AL, S[j], BLFT[op]);
-            FX_ADJ_ROW(AR, S[j], BRGT[op]);
+            FX_ADJ_ROW(AL, S[j], lft[op]);
+            FX_ADJ_ROW(AR, S[j], rgt[op]);
             break;
         case 1: { /* PRODUCT: rounded contribution, checked add, per side */
-            const int64_t *VL = slots + (int64_t)BLFT[op] * batch;
-            const int64_t *VR = slots + (int64_t)BRGT[op] * batch;
+            const int64_t *VL = slots + (int64_t)lft[op] * batch;
+            const int64_t *VR = slots + (int64_t)rgt[op] * batch;
             if (frac_bits == 0) {
-                FX_ADJ_ROW(AL, S[j] * VR[j], BLFT[op]);
-                FX_ADJ_ROW(AR, S[j] * VL[j], BRGT[op]);
+                FX_ADJ_ROW(AL, S[j] * VR[j], lft[op]);
+                FX_ADJ_ROW(AR, S[j] * VL[j], rgt[op]);
             } else if (rounding == 0) {
-                FX_ADJ_ROW(AL, FXR_TRUNC(S[j] * VR[j]), BLFT[op]);
-                FX_ADJ_ROW(AR, FXR_TRUNC(S[j] * VL[j]), BRGT[op]);
+                FX_ADJ_ROW(AL, FXR_TRUNC(S[j] * VR[j]), lft[op]);
+                FX_ADJ_ROW(AR, FXR_TRUNC(S[j] * VL[j]), rgt[op]);
             } else if (rounding == 1) {
-                FX_ADJ_ROW(AL, FXR_UP(S[j] * VR[j]), BLFT[op]);
-                FX_ADJ_ROW(AR, FXR_UP(S[j] * VL[j]), BRGT[op]);
+                FX_ADJ_ROW(AL, FXR_UP(S[j] * VR[j]), lft[op]);
+                FX_ADJ_ROW(AR, FXR_UP(S[j] * VL[j]), rgt[op]);
             } else {
-                FX_ADJ_ROW(AL, FXR_EVEN(S[j] * VR[j]), BLFT[op]);
-                FX_ADJ_ROW(AR, FXR_EVEN(S[j] * VL[j]), BRGT[op]);
+                FX_ADJ_ROW(AL, FXR_EVEN(S[j] * VR[j]), lft[op]);
+                FX_ADJ_ROW(AR, FXR_EVEN(S[j] * VL[j]), rgt[op]);
             }
             break;
         }
         default: /* COPY */
-            FX_ADJ_ROW(AL, S[j], BLFT[op]);
+            FX_ADJ_ROW(AL, S[j], lft[op]);
             break;
         }
     }
     return -1;
 }
-
 /* ------------------------------------------------------------------ */
 /* float-emulation kernels ((mantissa, exponent) int64 word pairs)     */
 /* ------------------------------------------------------------------ */
@@ -589,51 +558,24 @@ static void flt_max_rows(const int64_t *am, const int64_t *ae,
         ov = un = 0;                                                    \
     } while (0)
 
-static int64_t flt_forward_sweep(const flt_fmt *F, const int64_t *param_m,
+static int64_t flt_forward_sweep(const problp_tape *t, const flt_fmt *F,
+                                 const int64_t *param_m,
                                  const int64_t *param_e, int64_t per_lane,
                                  const uint8_t *active, int64_t batch,
                                  int64_t *ms, int64_t *es)
 {
+    TAPE_OPS(t);
     int64_t ov = 0, un = 0;
-    for (int32_t i = 0; i < N_PARAMS; i++) {
-        int64_t *mrow = ms + (int64_t)PSLOT[i] * batch;
-        int64_t *erow = es + (int64_t)PSLOT[i] * batch;
-        if (per_lane) {
-            const int64_t *src_m = param_m + (int64_t)PID[i] * batch;
-            const int64_t *src_e = param_e + (int64_t)PID[i] * batch;
-            #pragma GCC ivdep
-            for (int64_t j = 0; j < batch; j++) {
-                mrow[j] = src_m[j];
-                erow[j] = src_e[j];
-            }
-        } else {
-            const int64_t vm = param_m[PID[i]];
-            const int64_t ve = param_e[PID[i]];
-            #pragma GCC ivdep
-            for (int64_t j = 0; j < batch; j++) {
-                mrow[j] = vm;
-                erow[j] = ve;
-            }
-        }
-    }
-    for (int32_t i = 0; i < N_INDICATORS; i++) {
-        const uint8_t *lane = active + (int64_t)i * batch;
-        int64_t *mrow = ms + (int64_t)ISLOT[i] * batch;
-        int64_t *erow = es + (int64_t)ISLOT[i] * batch;
-        #pragma GCC ivdep
-        for (int64_t j = 0; j < batch; j++) {
-            mrow[j] = lane[j] ? F->one_m : 0;
-            erow[j] = lane[j] ? F->one_e : 0;
-        }
-    }
-    for (int32_t op = 0; op < N_OPS; op++) {
-        const int64_t *LM = ms + (int64_t)LFT[op] * batch;
-        const int64_t *LE = es + (int64_t)LFT[op] * batch;
-        const int64_t *RM = ms + (int64_t)RGT[op] * batch;
-        const int64_t *RE = es + (int64_t)RGT[op] * batch;
-        int64_t *DM = ms + (int64_t)DST[op] * batch;
-        int64_t *DE = es + (int64_t)DST[op] * batch;
-        switch (OPC[op]) {
+    seed_fixed(t, param_m, per_lane, active, batch, F->one_m, ms);
+    seed_fixed(t, param_e, per_lane, active, batch, F->one_e, es);
+    for (int32_t op = 0; op < n_ops; op++) {
+        const int64_t *LM = ms + (int64_t)lft[op] * batch;
+        const int64_t *LE = es + (int64_t)lft[op] * batch;
+        const int64_t *RM = ms + (int64_t)rgt[op] * batch;
+        const int64_t *RE = es + (int64_t)rgt[op] * batch;
+        int64_t *DM = ms + (int64_t)dst[op] * batch;
+        int64_t *DE = es + (int64_t)dst[op] * batch;
+        switch (opc[op]) {
         case 0: /* SUM */
             flt_add_rows(F, LM, LE, RM, RE, DM, DE, batch, &ov, &un);
             FLT_CHECK();
@@ -654,20 +596,22 @@ static int64_t flt_forward_sweep(const flt_fmt *F, const int64_t *param_m,
     return -1;
 }
 
-int64_t flt_forward(const int64_t *param_m, const int64_t *param_e,
-                    int64_t per_lane, const uint8_t *active, int64_t batch,
+int64_t flt_forward(const problp_tape *tape, const int64_t *param_m,
+                    const int64_t *param_e, int64_t per_lane,
+                    const uint8_t *active, int64_t batch,
                     int32_t mantissa_bits, int64_t min_exponent,
                     int64_t max_exponent, int64_t one_m, int64_t one_e,
                     int32_t rounding, int64_t *m_slots, int64_t *e_slots)
 {
     const flt_fmt F = {mantissa_bits, min_exponent, max_exponent, one_m,
                        one_e, rounding};
-    return flt_forward_sweep(&F, param_m, param_e, per_lane, active, batch,
-                             m_slots, e_slots);
+    return flt_forward_sweep(tape, &F, param_m, param_e, per_lane, active,
+                             batch, m_slots, e_slots);
 }
 
-int64_t flt_backward(const int64_t *param_m, const int64_t *param_e,
-                     int64_t per_lane, const uint8_t *active, int64_t batch,
+int64_t flt_backward(const problp_tape *tape, const int64_t *param_m,
+                     const int64_t *param_e, int64_t per_lane,
+                     const uint8_t *active, int64_t batch,
                      int32_t mantissa_bits, int64_t min_exponent,
                      int64_t max_exponent, int64_t one_m, int64_t one_e,
                      int32_t rounding, int64_t *m_slots, int64_t *e_slots,
@@ -676,33 +620,36 @@ int64_t flt_backward(const int64_t *param_m, const int64_t *param_e,
 {
     const flt_fmt F = {mantissa_bits, min_exponent, max_exponent, one_m,
                        one_e, rounding};
+    TAPE_OPS(tape);
+    const size_t plane = (size_t)tape->num_slots * (size_t)batch;
     int64_t ov = 0, un = 0;
-    const int64_t status = flt_forward_sweep(
-        &F, param_m, param_e, per_lane, active, batch, m_slots, e_slots);
+    const int64_t status =
+        flt_forward_sweep(tape, &F, param_m, param_e, per_lane, active,
+                          batch, m_slots, e_slots);
     if (status >= 0) return status;
-    memset(adj_m, 0, (size_t)NUM_SLOTS * (size_t)batch * sizeof(int64_t));
-    memset(adj_e, 0, (size_t)NUM_SLOTS * (size_t)batch * sizeof(int64_t));
+    memset(adj_m, 0, plane * sizeof(int64_t));
+    memset(adj_e, 0, plane * sizeof(int64_t));
     {
-        int64_t *mrow = adj_m + (int64_t)ROOT * batch;
+        int64_t *mrow = adj_m + (int64_t)tape->root * batch;
         for (int64_t j = 0; j < batch; j++) mrow[j] = one_m;
         if (one_e != 0) {
-            int64_t *erow = adj_e + (int64_t)ROOT * batch;
+            int64_t *erow = adj_e + (int64_t)tape->root * batch;
             for (int64_t j = 0; j < batch; j++) erow[j] = one_e;
         }
     }
-    for (int32_t op = 0; op < N_OPS; op++) {
-        const int64_t *SM = adj_m + (int64_t)BDST[op] * batch;
-        const int64_t *SE = adj_e + (int64_t)BDST[op] * batch;
-        int64_t *ALM = adj_m + (int64_t)BLFT[op] * batch;
-        int64_t *ALE = adj_e + (int64_t)BLFT[op] * batch;
-        int64_t *ARM = adj_m + (int64_t)BRGT[op] * batch;
-        int64_t *ARE = adj_e + (int64_t)BRGT[op] * batch;
-        switch (BOPC[op]) {
+    for (int32_t op = n_ops - 1; op >= 0; op--) {
+        const int64_t *SM = adj_m + (int64_t)dst[op] * batch;
+        const int64_t *SE = adj_e + (int64_t)dst[op] * batch;
+        int64_t *ALM = adj_m + (int64_t)lft[op] * batch;
+        int64_t *ALE = adj_e + (int64_t)lft[op] * batch;
+        int64_t *ARM = adj_m + (int64_t)rgt[op] * batch;
+        int64_t *ARE = adj_e + (int64_t)rgt[op] * batch;
+        switch (opc[op]) {
         case 1: { /* PRODUCT: rounded contribution, rounded add, per side */
-            const int64_t *VLM = m_slots + (int64_t)BLFT[op] * batch;
-            const int64_t *VLE = e_slots + (int64_t)BLFT[op] * batch;
-            const int64_t *VRM = m_slots + (int64_t)BRGT[op] * batch;
-            const int64_t *VRE = e_slots + (int64_t)BRGT[op] * batch;
+            const int64_t *VLM = m_slots + (int64_t)lft[op] * batch;
+            const int64_t *VLE = e_slots + (int64_t)lft[op] * batch;
+            const int64_t *VRM = m_slots + (int64_t)rgt[op] * batch;
+            const int64_t *VRE = e_slots + (int64_t)rgt[op] * batch;
             flt_mul_rows(&F, SM, SE, VRM, VRE, scratch_m, scratch_e, batch,
                          &ov, &un);
             FLT_CHECK();
@@ -720,7 +667,7 @@ int64_t flt_backward(const int64_t *param_m, const int64_t *param_e,
         default: /* SUM / COPY: adjoints flow through unscaled */
             flt_add_rows(&F, ALM, ALE, SM, SE, ALM, ALE, batch, &ov, &un);
             FLT_CHECK();
-            if (BOPC[op] == 0) {
+            if (opc[op] == 0) {
                 flt_add_rows(&F, ARM, ARE, SM, SE, ARM, ARE, batch, &ov,
                              &un);
                 FLT_CHECK();
@@ -731,3 +678,8 @@ int64_t flt_backward(const int64_t *param_m, const int64_t *param_e,
     return -1;
 }
 """
+
+#: The complete translation unit of the kernel module.
+KERNEL_SOURCE = (
+    "#include <stdint.h>\n#include <string.h>\n" + _TAPE_STRUCT + _KERNEL_TEMPLATE
+)

@@ -1,11 +1,12 @@
-"""Python-facing wrappers around one tape's compiled C kernels.
+"""Python-facing view of one tape onto the shared C kernel module.
 
 :class:`NativeTapeKernels` mirrors the numpy executors' call surface —
 evidence batches in, ``(num_nodes, batch)`` float64 (or int64 word)
 matrices out — while the sweeps themselves run inside the fused C
-kernels generated by :mod:`repro.engine.native.codegen`. Evidence
-encoding, strictness errors, root/differentiability checks and the
-quantized overflow/underflow exceptions (messages included) are exactly
+kernels of :mod:`repro.engine.native.codegen`, which every tape shares:
+the view only hands them its tape's op arrays and tables at run time.
+Evidence encoding, strictness errors, root/differentiability checks and
+the quantized overflow/underflow exceptions (messages included) are exactly
 the numpy executors', so swapping backends is observationally invisible
 apart from speed.
 
@@ -25,12 +26,9 @@ Use :func:`native_kernels_for` for the per-tape cached instance.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-
-from ...obs.metrics import REGISTRY
 
 from ...arith.fixedpoint import FixedPointFormat, FixedPointOverflowError
 from ...arith.floatingpoint import (
@@ -43,21 +41,15 @@ from ..encoder import EvidenceEncoder
 from ..executors import FixedWordKernel, FloatWordKernel, _require_binary_tape
 from ..memo import KeyedMemo
 from ..tape import Tape
-from .build import build_kernel_module
+from .build import kernel_module
 from .codegen import (
     FLT_OVERFLOW,
     ROUND_NEAREST_EVEN,
     ROUND_NEAREST_UP,
     ROUND_TRUNCATE,
-    generate_source,
 )
 
 __all__ = ["NativeTapeKernels", "native_kernels_for"]
-
-_CODEGEN_SECONDS = REGISTRY.histogram(
-    "problp_native_codegen_seconds",
-    "Wall time of C source generation for one tape.",
-)
 
 _ROUNDING_CODE = {
     RoundingMode.TRUNCATE: ROUND_TRUNCATE,
@@ -69,11 +61,11 @@ _ROUNDING_CODE = {
 class _FixedProgram:
     """Per-format call arguments for the fixed kernels (exact words)."""
 
-    def __init__(self, fmt: FixedPointFormat, tape: Tape) -> None:
+    def __init__(self, fmt: FixedPointFormat, param_values: np.ndarray) -> None:
         self.kernel = FixedWordKernel(fmt)  # raises ValueError when wide
         self.fmt = fmt
         self.param_words = np.ascontiguousarray(
-            self.kernel.encode_params(tape.param_values)
+            self.kernel.encode_params(param_values)
         )
         self.frac_bits = int(fmt.fraction_bits)
         self.max_word = int(fmt.max_mantissa)
@@ -84,10 +76,10 @@ class _FixedProgram:
 class _FloatProgram:
     """Per-format call arguments for the float-emulation kernels."""
 
-    def __init__(self, fmt: FloatFormat, tape: Tape) -> None:
+    def __init__(self, fmt: FloatFormat, param_values: np.ndarray) -> None:
         self.kernel = FloatWordKernel(fmt)  # raises ValueError when wide
         self.fmt = fmt
-        param_m, param_e = self.kernel.encode_params(tape.param_values)
+        param_m, param_e = self.kernel.encode_params(param_values)
         self.param_m = np.ascontiguousarray(param_m)
         self.param_e = np.ascontiguousarray(param_e)
         self.mantissa_bits = int(fmt.mantissa_bits)
@@ -114,23 +106,61 @@ class _FloatProgram:
 
 
 class NativeTapeKernels:
-    """One tape's compiled C kernels behind the executor call surface.
+    """One tape's view onto the shared kernel module.
 
-    Constructing this compiles (or loads from the on-disk cache) the
-    tape's kernel module; a missing toolchain raises
+    Constructing this loads the process's kernel module (building it on
+    first use, see :func:`~repro.engine.native.build.kernel_module`); a
+    missing toolchain raises
     :class:`~repro.engine.native.build.NativeBuildError`, which callers
     treat as "use the numpy backend".
+
+    The view keeps the tape's arrays and scalars it reads, never the
+    tape itself, so the per-tape memo entry dies with its tape. It runs
+    :class:`~repro.engine.tape.Tape`'s own root and derivative checks,
+    and the executors' binary-tape check, on those copies, so their
+    errors and messages stay the tape's.
     """
 
+    require_root = Tape.require_root
+    require_differentiable = Tape.require_differentiable
+
     def __init__(self, tape: Tape, encoder: EvidenceEncoder | None = None):
-        self.tape = tape
         self.encoder = encoder or EvidenceEncoder.for_tape(tape)
-        codegen_started = time.monotonic()
-        source = generate_source(tape)
-        _CODEGEN_SECONDS.observe(time.monotonic() - codegen_started)
-        module = build_kernel_module(source)
+        self.name = tape.name
+        self.root = tape.root
+        self.num_nodes = tape.num_nodes
+        self.num_slots = tape.num_slots
+        self.has_max = tape.has_max
+        self.source_is_binary = tape.source_is_binary
+        self.param_values = np.ascontiguousarray(
+            tape.param_values, dtype=np.float64
+        )
+        module = kernel_module()
         self._ffi = module.ffi
         self._lib = module.lib
+        # The struct only copies addresses; the from_buffer pointers kept
+        # in _tables keep the tape's arrays alive.
+        self._tables = {
+            field: self._ptr(
+                "int32_t[]", np.ascontiguousarray(getattr(tape, field), np.int32)
+            )
+            for field in (
+                "opcodes", "dests", "lefts", "rights",
+                "param_slots", "param_ids", "indicator_slots",
+            )
+        }
+        self._tape = self._ffi.new(
+            "problp_tape *",
+            dict(
+                self._tables,
+                n_ops=tape.num_operations,
+                n_params=len(tape.param_slots),
+                n_indicators=len(tape.indicator_slots),
+                num_slots=tape.num_slots,
+                root=-1 if tape.root is None else tape.root,
+            ),
+        )
+        self._param_values_ptr = self._ptr("double[]", self.param_values)
         self._fixed_programs: KeyedMemo = KeyedMemo()
         self._float_programs: KeyedMemo = KeyedMemo()
 
@@ -147,18 +177,18 @@ class NativeTapeKernels:
 
     def _fixed_program(self, fmt: FixedPointFormat) -> _FixedProgram:
         return self._fixed_programs.get(
-            fmt, lambda: _FixedProgram(fmt, self.tape)
+            fmt, lambda: _FixedProgram(fmt, self.param_values)
         )
 
     def _float_program(self, fmt: FloatFormat) -> _FloatProgram:
         return self._float_programs.get(
-            fmt, lambda: _FloatProgram(fmt, self.tape)
+            fmt, lambda: _FloatProgram(fmt, self.param_values)
         )
 
     # -- capabilities ----------------------------------------------------
     def supports_format(self, fmt: Any) -> bool:
         """True when the native backend runs this quantized format."""
-        if not self.tape.source_is_binary:
+        if not self.source_is_binary:
             return False
         if isinstance(fmt, FixedPointFormat):
             return fmt.fits_int64_products
@@ -184,7 +214,7 @@ class NativeTapeKernels:
     def _f64_params(self, param_matrix: np.ndarray | None):
         """(pointer, per_lane) for a float64 kernel call."""
         if param_matrix is None:
-            return self._ffi.NULL, 0
+            return self._param_values_ptr, 0
         param_matrix = np.ascontiguousarray(param_matrix, dtype=np.float64)
         return self._ptr("double[]", param_matrix), 1
 
@@ -200,8 +230,9 @@ class NativeTapeKernels:
         active = self._active_u8(active)
         batch = active.shape[1] if active.ndim == 2 else 1
         params, per_lane = self._f64_params(param_matrix)
-        slots = np.empty((self.tape.num_slots, batch))
+        slots = np.empty((self.num_slots, batch))
         self._lib.f64_forward(
+            self._tape,
             params,
             per_lane,
             self._ptr("uint8_t[]", active),
@@ -217,9 +248,10 @@ class NativeTapeKernels:
         active = self._active_u8(active)
         batch = active.shape[1] if active.ndim == 2 else 1
         params, per_lane = self._f64_params(param_matrix)
-        slots = np.empty((self.tape.num_slots, batch))
-        partials = np.empty((self.tape.num_slots, batch))
+        slots = np.empty((self.num_slots, batch))
+        partials = np.empty((self.num_slots, batch))
         self._lib.f64_backward(
+            self._tape,
             params,
             per_lane,
             self._ptr("uint8_t[]", active),
@@ -231,7 +263,7 @@ class NativeTapeKernels:
 
     def evaluate(self, evidence: Mapping[str, int] | None = None) -> float:
         """Scalar float64 root value (strict evidence, like the scalar path)."""
-        root = self.tape.require_root()
+        root = self.require_root()
         active = self.encoder.encode_one(evidence, strict=True)
         return float(self.forward_slots(active[:, None])[root, 0])
 
@@ -241,7 +273,7 @@ class NativeTapeKernels:
         """Float64 value of every circuit node (strict evidence)."""
         active = self.encoder.encode_one(evidence, strict=True)[:, None]
         slots = self.forward_slots(active)
-        return slots[: self.tape.num_nodes, 0].tolist()
+        return slots[: self.num_nodes, 0].tolist()
 
     def evaluate_batch(
         self,
@@ -251,17 +283,17 @@ class NativeTapeKernels:
         param_matrix: np.ndarray | None = None,
     ) -> np.ndarray:
         """Float64 root values (or node-value matrix) for a whole batch."""
-        root = self.tape.require_root()
+        root = self.require_root()
         if len(evidence_batch) == 0:
             return (
-                np.empty((self.tape.num_nodes, 0))
+                np.empty((self.num_nodes, 0))
                 if node_values
                 else np.empty(0)
             )
         active = self.encoder.encode(evidence_batch, strict=strict)
         slots = self.forward_slots(active, param_matrix=param_matrix)
         if node_values:
-            return slots[: self.tape.num_nodes].copy()
+            return slots[: self.num_nodes].copy()
         return slots[root].copy()
 
     def partials_arrays(
@@ -273,11 +305,11 @@ class NativeTapeKernels:
         single-query marginals path consumes the arrays directly instead
         of paying a ``tolist`` round-trip per query.
         """
-        self.tape.require_differentiable()
-        self.tape.require_root()
+        self.require_differentiable()
+        self.require_root()
         active = self.encoder.encode_one(evidence, strict=True)
         slots, partials = self.forward_backward_slots(active[:, None])
-        n = self.tape.num_nodes
+        n = self.num_nodes
         return slots[:n, 0], partials[:n, 0]
 
     def partials(
@@ -294,16 +326,16 @@ class NativeTapeKernels:
         param_matrix: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched ``(values, partials)`` matrices, ``(num_nodes, batch)``."""
-        self.tape.require_differentiable()
-        self.tape.require_root()
+        self.require_differentiable()
+        self.require_root()
         if len(evidence_batch) == 0:
-            empty = np.empty((self.tape.num_nodes, 0))
+            empty = np.empty((self.num_nodes, 0))
             return empty, empty.copy()
         active = self.encoder.encode(evidence_batch, strict=strict)
         slots, partials = self.forward_backward_slots(
             active, param_matrix=param_matrix
         )
-        n = self.tape.num_nodes
+        n = self.num_nodes
         return slots[:n].copy(), partials[:n].copy()
 
     # -- fixed point -----------------------------------------------------
@@ -315,11 +347,11 @@ class NativeTapeKernels:
     def _fixed_params(
         self, program: _FixedProgram, param_words: np.ndarray | None
     ):
-        """(pointer, per_lane, keepalive) for a fixed kernel call."""
+        """(pointer, per_lane) for a fixed kernel call."""
         if param_words is None:
-            return self._ptr("int64_t[]", program.param_words), 0, None
+            return self._ptr("int64_t[]", program.param_words), 0
         param_words = np.ascontiguousarray(param_words, dtype=np.int64)
-        return self._ptr("int64_t[]", param_words), 1, param_words
+        return self._ptr("int64_t[]", param_words), 1
 
     def fixed_forward_words(
         self,
@@ -333,13 +365,14 @@ class NativeTapeKernels:
         :meth:`encode_theta`) seeds per-lane quantized parameter tables
         for θ-batch replays.
         """
-        _require_binary_tape(self.tape)
+        _require_binary_tape(self)
         program = self._fixed_program(fmt)
         active = self._active_u8(active)
         batch = active.shape[1] if active.ndim == 2 else 1
-        params, per_lane, keepalive = self._fixed_params(program, param_words)
-        slots = np.empty((self.tape.num_slots, batch), dtype=np.int64)
+        params, per_lane = self._fixed_params(program, param_words)
+        slots = np.empty((self.num_slots, batch), dtype=np.int64)
         status = self._lib.fixed_forward(
+            self._tape,
             params,
             per_lane,
             self._ptr("uint8_t[]", active),
@@ -350,7 +383,6 @@ class NativeTapeKernels:
             program.rounding,
             self._ptr("int64_t[]", slots, writable=True),
         )
-        del keepalive
         if status >= 0:
             raise self._overflow(program, int(status))
         return slots
@@ -362,16 +394,17 @@ class NativeTapeKernels:
         param_words: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Mantissa words ``(slots, adjoints)`` of all slots (fused)."""
-        _require_binary_tape(self.tape)
-        self.tape.require_differentiable()
-        self.tape.require_root()
+        _require_binary_tape(self)
+        self.require_differentiable()
+        self.require_root()
         program = self._fixed_program(fmt)
         active = self._active_u8(active)
         batch = active.shape[1] if active.ndim == 2 else 1
-        params, per_lane, keepalive = self._fixed_params(program, param_words)
-        slots = np.empty((self.tape.num_slots, batch), dtype=np.int64)
-        adjoints = np.empty((self.tape.num_slots, batch), dtype=np.int64)
+        params, per_lane = self._fixed_params(program, param_words)
+        slots = np.empty((self.num_slots, batch), dtype=np.int64)
+        adjoints = np.empty((self.num_slots, batch), dtype=np.int64)
         status = self._lib.fixed_backward(
+            self._tape,
             params,
             per_lane,
             self._ptr("uint8_t[]", active),
@@ -383,7 +416,6 @@ class NativeTapeKernels:
             self._ptr("int64_t[]", slots, writable=True),
             self._ptr("int64_t[]", adjoints, writable=True),
         )
-        del keepalive
         if status >= 0:
             raise self._overflow(program, int(status))
         return slots, adjoints
@@ -394,21 +426,16 @@ class NativeTapeKernels:
         program: _FloatProgram,
         param_words: tuple[np.ndarray, np.ndarray] | None,
     ):
-        """(m pointer, e pointer, per_lane, keepalive) for a float call."""
+        """(m pointer, e pointer, per_lane) for a float call."""
         if param_words is None:
-            return (
-                self._ptr("int64_t[]", program.param_m),
-                self._ptr("int64_t[]", program.param_e),
-                0,
-                None,
-            )
-        words_m = np.ascontiguousarray(param_words[0], dtype=np.int64)
-        words_e = np.ascontiguousarray(param_words[1], dtype=np.int64)
+            words_m, words_e, per_lane = program.param_m, program.param_e, 0
+        else:
+            words_m, words_e = param_words
+            per_lane = 1
         return (
-            self._ptr("int64_t[]", words_m),
-            self._ptr("int64_t[]", words_e),
-            1,
-            (words_m, words_e),
+            self._ptr("int64_t[]", np.ascontiguousarray(words_m, np.int64)),
+            self._ptr("int64_t[]", np.ascontiguousarray(words_e, np.int64)),
+            per_lane,
         )
 
     def float_forward_words(
@@ -423,14 +450,15 @@ class NativeTapeKernels:
         :meth:`encode_theta`) seeds per-lane quantized parameter tables
         for θ-batch replays.
         """
-        _require_binary_tape(self.tape)
+        _require_binary_tape(self)
         program = self._float_program(fmt)
         active = self._active_u8(active)
         batch = active.shape[1] if active.ndim == 2 else 1
-        pm, pe, per_lane, keepalive = self._float_params(program, param_words)
-        m_slots = np.empty((self.tape.num_slots, batch), dtype=np.int64)
-        e_slots = np.empty((self.tape.num_slots, batch), dtype=np.int64)
+        pm, pe, per_lane = self._float_params(program, param_words)
+        m_slots = np.empty((self.num_slots, batch), dtype=np.int64)
+        e_slots = np.empty((self.num_slots, batch), dtype=np.int64)
         status = self._lib.flt_forward(
+            self._tape,
             pm,
             pe,
             per_lane,
@@ -445,7 +473,6 @@ class NativeTapeKernels:
             self._ptr("int64_t[]", m_slots, writable=True),
             self._ptr("int64_t[]", e_slots, writable=True),
         )
-        del keepalive
         if status >= 0:
             raise program.error(int(status))
         return m_slots, e_slots
@@ -459,14 +486,14 @@ class NativeTapeKernels:
         tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]
     ]:
         """``((value_m, value_e), (adj_m, adj_e))`` of all slots (fused)."""
-        _require_binary_tape(self.tape)
-        self.tape.require_differentiable()
-        self.tape.require_root()
+        _require_binary_tape(self)
+        self.require_differentiable()
+        self.require_root()
         program = self._float_program(fmt)
         active = self._active_u8(active)
         batch = active.shape[1] if active.ndim == 2 else 1
-        pm, pe, per_lane, keepalive = self._float_params(program, param_words)
-        shape = (self.tape.num_slots, batch)
+        pm, pe, per_lane = self._float_params(program, param_words)
+        shape = (self.num_slots, batch)
         m_slots = np.empty(shape, dtype=np.int64)
         e_slots = np.empty(shape, dtype=np.int64)
         adj_m = np.empty(shape, dtype=np.int64)
@@ -476,6 +503,7 @@ class NativeTapeKernels:
         scratch_m = np.empty(batch, dtype=np.int64)
         scratch_e = np.empty(batch, dtype=np.int64)
         status = self._lib.flt_backward(
+            self._tape,
             pm,
             pe,
             per_lane,
@@ -494,7 +522,6 @@ class NativeTapeKernels:
             self._ptr("int64_t[]", scratch_m, writable=True),
             self._ptr("int64_t[]", scratch_e, writable=True),
         )
-        del keepalive
         if status >= 0:
             raise program.error(int(status))
         return (m_slots, e_slots), (adj_m, adj_e)
@@ -507,7 +534,7 @@ class NativeTapeKernels:
         param_words=None,
     ) -> np.ndarray:
         """Float64 root values of one quantized forward sweep."""
-        root = self.tape.require_root()
+        root = self.require_root()
         if isinstance(fmt, FixedPointFormat):
             words = self.fixed_forward_words(
                 fmt, active, param_words=param_words
@@ -535,7 +562,7 @@ class NativeTapeKernels:
         strict: bool = True,
     ) -> float:
         """Scalar quantized root value, converted back to float64."""
-        self.tape.require_root()
+        self.require_root()
         active = self.encoder.encode_one(evidence, strict=strict)[:, None]
         return float(self._quantized_root_values(fmt, active)[0])
 
@@ -547,7 +574,7 @@ class NativeTapeKernels:
         param_words=None,
     ) -> np.ndarray:
         """Float64 quantized root values for a whole batch."""
-        self.tape.require_root()
+        self.require_root()
         if len(evidence_batch) == 0:
             return np.empty(0)
         active = self.encoder.encode(evidence_batch, strict=strict)
@@ -562,10 +589,10 @@ class NativeTapeKernels:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Float64 quantized ``(values, partials)`` per node for a batch."""
         if len(evidence_batch) == 0:
-            empty = np.empty((self.tape.num_nodes, 0))
+            empty = np.empty((self.num_nodes, 0))
             return empty, empty.copy()
         active = self.encoder.encode(evidence_batch, strict=strict)
-        n = self.tape.num_nodes
+        n = self.num_nodes
         if isinstance(fmt, FixedPointFormat):
             slots, adjoints = self.fixed_backward_words(
                 fmt, active, param_words=param_words
@@ -581,8 +608,8 @@ class NativeTapeKernels:
         )
 
 
-#: Per-tape kernel cache; compiled modules are tiny, but the cffi/build
-#: round-trip is not. Weak so kernels die with their tape.
+#: Per-tape view cache. Weak, and views hold no reference to their
+#: tape, so an entry dies with its tape.
 _KERNELS_MEMO: KeyedMemo = KeyedMemo(weak=True, name="native_kernels")
 
 

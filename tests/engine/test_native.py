@@ -18,9 +18,14 @@ graceful degradation is exactly the behavior they pin.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.ac.circuit import ArithmeticCircuit
+from repro.ac.transform import binarize
 from repro.arith import FixedPointFormat, FloatFormat, RoundingMode
 from repro.arith.fixedpoint import FixedPointBackend, FixedPointOverflowError
 from repro.arith.floatingpoint import (
@@ -41,7 +46,10 @@ from repro.engine import (
     native_kernels_for,
     tape_for,
 )
-from repro.engine.native import NativeBuildError
+from repro.bn.networks import random_network
+from repro.compile import compile_network
+from repro.engine.native import NativeBuildError, NativeTapeKernels, build
+from repro.engine.tape import compile_tape
 from repro.engine.theta import normalize_theta, theta_param_matrix
 from tests.conftest import (
     golden_theta_forward,
@@ -403,6 +411,92 @@ class TestFloatEmulationDifferential:
         assert fmt.describe() in str(native_error.value)
 
 
+def _no_parameters_circuit() -> ArithmeticCircuit:
+    circuit = ArithmeticCircuit("no_parameters")
+    a0, a1 = circuit.add_indicator("A", 0), circuit.add_indicator("A", 1)
+    b0, b1 = circuit.add_indicator("B", 0), circuit.add_indicator("B", 1)
+    circuit.set_root(
+        circuit.add_sum(
+            [circuit.add_product([a0, b0]), circuit.add_product([a1, b1])]
+        )
+    )
+    return circuit
+
+
+def _no_indicators_circuit() -> ArithmeticCircuit:
+    circuit = ArithmeticCircuit("no_indicators")
+    product = circuit.add_product(
+        [circuit.add_parameter(0.3), circuit.add_parameter(0.6)]
+    )
+    circuit.set_root(circuit.add_sum([product, circuit.add_parameter(0.25)]))
+    return circuit
+
+
+def _no_ops_circuit() -> ArithmeticCircuit:
+    circuit = ArithmeticCircuit("no_ops")
+    circuit.add_indicator("A", 0)
+    circuit.set_root(circuit.add_parameter(0.4))  # the root is a leaf
+    return circuit
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "build_circuit",
+    [_no_parameters_circuit, _no_indicators_circuit, _no_ops_circuit],
+    ids=["no_parameters", "no_indicators", "no_ops"],
+)
+class TestEdgeTapes:
+    """Empty tape tables reach the kernels as zero-length buffers."""
+
+    BATCH = [{}, {"A": 0}, {"A": 1}, {"A": 1, "B": 0}]
+
+    def test_f64_forward_and_backward(self, build_circuit):
+        tape = compile_tape(build_circuit())
+        native = native_kernels_for(tape)
+        got = native.evaluate_batch(self.BATCH, node_values=True)
+        assert (got == execute_batch(tape, self.BATCH, node_values=True)).all()
+        got_values, got_partials = native.partials_batch(self.BATCH)
+        exp_values, exp_partials = execute_partials_batch(tape, self.BATCH)
+        assert (got_values == exp_values).all()
+        assert (got_partials == exp_partials).all()
+
+    def test_fixed_words(self, build_circuit):
+        circuit = build_circuit()
+        tape = compile_tape(circuit)
+        native = native_kernels_for(tape)
+        active = native.encoder.encode(self.BATCH)
+        executor = InferenceSession(circuit, backend="numpy")._vector_executor(
+            FixedPointFormat(2, 8)
+        )
+        fmt = executor.fmt
+        expected = executor._forward_planes(self.BATCH, False)[0]
+        assert (native.fixed_forward_words(fmt, active) == expected).all()
+        exp_slots, exp_adj = executor.partials_batch_words(self.BATCH)
+        got_slots, got_adj = native.fixed_backward_words(fmt, active)
+        n = tape.num_nodes
+        assert (got_slots[:n] == exp_slots[:n]).all()
+        assert (got_adj[:n] == exp_adj[:n]).all()
+
+    def test_float_words(self, build_circuit):
+        circuit = build_circuit()
+        tape = compile_tape(circuit)
+        native = native_kernels_for(tape)
+        active = native.encoder.encode(self.BATCH)
+        executor = InferenceSession(circuit, backend="numpy")._vector_executor(
+            FloatFormat(8, 14)
+        )
+        fmt = executor.fmt
+        exp_m, exp_e = executor._forward_planes(self.BATCH, False)
+        got_m, got_e = native.float_forward_words(fmt, active)
+        assert (got_m == exp_m).all() and (got_e == exp_e).all()
+        expected = executor.partials_batch_words(self.BATCH)
+        got = native.float_backward_words(fmt, active)
+        n = tape.num_nodes
+        for got_pair, exp_pair in zip(got, expected):
+            assert (got_pair[0][:n] == exp_pair[0][:n]).all()
+            assert (got_pair[1][:n] == exp_pair[1][:n]).all()
+
+
 @needs_native
 class TestRuntimeParameterKernels:
     """θ batches through the runtime-parameter kernel entry points: each
@@ -611,6 +705,71 @@ class TestSessionBackendDispatch:
         # Sessions share the same per-tape kernels through the memo.
         session = InferenceSession(sprinkler_binary, backend="native")
         assert session._native is native_kernels_for(tape)
+
+
+@needs_native
+class TestSharedKernelModule:
+    """One kernel module serves every tape; views never pin their tape."""
+
+    def test_one_module_serves_every_circuit(
+        self, monkeypatch, tmp_path, sprinkler_binary, asia_binary, alarm_binary
+    ):
+        monkeypatch.setenv("PROBLP_NATIVE_CACHE", str(tmp_path))
+        # Forget this process's module, so it is built into the fresh cache.
+        monkeypatch.setattr(build, "_module_outcome", None)
+        compiled = build._BUILD_TOTAL.labels("compiled")
+        before = compiled.value
+        network = compile_network(random_network(6, seed=5)).circuit
+        kernels = []
+        for circuit in (
+            sprinkler_binary, asia_binary, alarm_binary, binarize(network).circuit
+        ):
+            tape = compile_tape(circuit)
+            native = NativeTapeKernels(tape)
+            batch = [{}, {}]
+            assert (native.evaluate_batch(batch) == execute_batch(tape, batch)).all()
+            kernels.append(native)
+        assert all(native._lib is kernels[0]._lib for native in kernels)
+        assert compiled.value - before <= 1
+        assert len(list(tmp_path.glob("*.so"))) == 1
+
+    def test_kernels_memo_does_not_pin_its_tape(self, sprinkler_binary):
+        t = compile_tape(sprinkler_binary)
+        native_kernels_for(t)
+        r = weakref.ref(t)
+        del t
+        gc.collect()
+        assert r() is None
+
+    def test_view_raises_the_tape_errors(self):
+        def message(call) -> str:
+            with pytest.raises(ValueError) as error:
+                call()
+            return str(error.value)
+
+        rootless = ArithmeticCircuit("rootless")
+        rootless.add_parameter(0.5)
+        tape = tape_for(rootless)
+        native = native_kernels_for(tape)
+        assert message(lambda: native.evaluate({})) == message(tape.require_root)
+
+        mpe = ArithmeticCircuit("mpe")
+        mpe.set_root(
+            mpe.add_max([mpe.add_parameter(0.2), mpe.add_parameter(0.7)])
+        )
+        tape = tape_for(mpe)
+        native = native_kernels_for(tape)
+        assert message(lambda: native.partials_batch([{}])) == message(
+            tape.require_differentiable
+        )
+
+        nary = ArithmeticCircuit("nary")
+        nary.set_root(nary.add_sum([nary.add_parameter(v) for v in (0.1, 0.2, 0.3)]))
+        native = native_kernels_for(tape_for(nary))
+        active = native.encoder.encode([{}])
+        assert "requires a binary circuit" in message(
+            lambda: native.fixed_forward_words(FixedPointFormat(4, 20), active)
+        )
 
 
 class TestFallback:
