@@ -96,7 +96,7 @@ def evaluate_batch(
 ) -> np.ndarray:
     """Float64 root values for a batch of evidence assignments.
 
-    Vectorizes over the batch: one numpy operation per tape operation.
+    Vectorizes over the batch: one numpy operation per level segment.
     Returns an array of shape ``(len(evidence_batch),)``.
     """
     from ..engine import execute_batch, tape_for

@@ -10,6 +10,7 @@ immutable node records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -68,7 +69,7 @@ class Node:
                 raise ValueError("parameter node cannot have children")
             if self.value is None:
                 raise ValueError("parameter node needs a value")
-            if not (self.value >= 0.0):
+            if not (math.isfinite(self.value) and self.value >= 0.0):
                 raise ValueError(
                     f"AC parameters must be non-negative finite numbers, "
                     f"got {self.value!r}"

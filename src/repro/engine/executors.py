@@ -5,8 +5,10 @@ All executors replay the same :class:`~repro.engine.tape.Tape`:
 * :func:`execute_values` / :func:`execute_real` — scalar float64, the
   reference semantics (bit-identical to the seed per-node loop);
 * :func:`execute_batch` — numpy float64 over a whole evidence batch, one
-  vector op per tape op (bit-identical to the scalar pass, since both
-  fold left-to-right in IEEE doubles);
+  vector op per ``(level, opcode)`` segment of :attr:`Tape.segments`
+  (bit-identical to the scalar pass: the ops of a segment are
+  independent and elementwise, and both fold left-to-right in IEEE
+  doubles);
 * :class:`QuantizedTapeEvaluator` — scalar sweep with any
   :class:`~repro.ac.evaluate.QuantizedBackend`;
 * :class:`WordBatchExecutor` — exact quantized sweeps over a batch on
@@ -16,8 +18,9 @@ All executors replay the same :class:`~repro.engine.tape.Tape`:
   backward sweep serve both arithmetics; the format picks the word
   kernel — :class:`FixedWordKernel` (one int64 mantissa plane) or
   :class:`FloatWordKernel` ((mantissa, exponent) planes) — which holds
-  the operator semantics. The seed had no vectorized float path, so
-  float sweeps paid the scalar big-int loop for every instance.
+  the operator semantics. The forward sweep replays the same level
+  segments, and it is also the hardware stream simulator's datapath
+  replay (:class:`repro.hw.stream.StreamSimulator`).
 
 Vectorized exactness contracts: fixed point needs products to fit in
 int64 (``2·(I+F) ≤ 62``); float needs mantissa products to fit
@@ -112,7 +115,7 @@ def execute_batch(
 ) -> np.ndarray:
     """Float64 root values for a whole evidence batch.
 
-    One numpy operation per tape op. With ``node_values=True`` returns
+    One numpy operation per level segment. With ``node_values=True`` returns
     the full ``(num_nodes, batch)`` value matrix instead of the root
     row. ``strict=True`` rejects evidence on unknown variables (the
     scalar paths' behavior); the default ignores it like the seed batch
@@ -152,15 +155,15 @@ def _forward_slots_batch(
     else:
         slots[tape.param_slots] = param_matrix[tape.param_ids]
     slots[tape.indicator_slots] = active
-    for opcode, dest, left, right in tape.op_tuples:
+    for opcode, dests, lefts, rights in tape.segments:
         if opcode == OP_SUM:
-            np.add(slots[left], slots[right], out=slots[dest])
+            slots[dests] = slots[lefts] + slots[rights]
         elif opcode == OP_PRODUCT:
-            np.multiply(slots[left], slots[right], out=slots[dest])
+            slots[dests] = slots[lefts] * slots[rights]
         elif opcode == OP_MAX:
-            np.maximum(slots[left], slots[right], out=slots[dest])
+            slots[dests] = np.maximum(slots[lefts], slots[rights])
         else:  # OP_COPY
-            slots[dest] = slots[left]
+            slots[dests] = slots[lefts]
     return slots
 
 
@@ -214,11 +217,11 @@ def execute_partials_batch(
     Returns ``(values, partials)``, each of shape
     ``(num_nodes, batch)`` — the joint of *every* state of *every*
     variable for a whole evidence batch in two tape replays (one numpy
-    op per tape op per direction). Row-for-row bit-identical to
-    :func:`execute_partials`. ``param_matrix`` seeds per-lane parameter
-    values (lane-major ``(n_params, batch)``) for θ-batch replays; the
-    backward sweep needs no further change — the product rule reads the
-    per-lane forward slots.
+    op per level segment forward, one per tape op backward). Row-for-row
+    bit-identical to :func:`execute_partials`. ``param_matrix`` seeds
+    per-lane parameter values (lane-major ``(n_params, batch)``) for
+    θ-batch replays; the backward sweep needs no further change — the
+    product rule reads the per-lane forward slots.
     """
     tape.require_differentiable()
     root = tape.require_root()
@@ -441,9 +444,10 @@ class _WordKernel:
     A word is an int64 ``(planes, …)`` stack: one mantissa plane for
     fixed point, a (mantissa, exponent) plane pair for float (§3.1.1 and
     §3.1.2 differ only in the word). ``add``, ``multiply`` and
-    ``maximum`` take two stacks and a ``where`` label — the operator
-    site a fixed-point overflow message names — and return a new stack,
-    rounded exactly once. :meth:`planes_of` / :meth:`words_of` convert
+    ``maximum`` take two stacks and the ``slot`` they compute — an int,
+    or an index array for a level segment, named by a fixed-point
+    overflow message — and return a new stack, rounded exactly once.
+    :meth:`planes_of` / :meth:`words_of` convert
     from and to the public word shapes: an int64 array for fixed point,
     an ``(m, e)`` array pair for float.
     """
@@ -471,11 +475,10 @@ class _WordKernel:
 class FixedWordKernel(_WordKernel):
     """Bit-exact vectorized fixed-point operator semantics on int64 words.
 
-    The operator core of :class:`WordBatchExecutor` (tape sweeps) and
-    the hardware stream simulator
-    (:class:`repro.hw.stream.StreamSimulator`): exact 2F-fraction
-    products rounded back to F bits, exact sums, and the scalar
-    backend's overflow-raising semantics. Valid for every format with
+    The operator core of :class:`WordBatchExecutor`, and through it of
+    the hardware stream simulator: exact 2F-fraction products rounded
+    back to F bits, exact sums, and the scalar backend's
+    overflow-raising semantics. Valid for every format with
     ``2·(I+F) ≤ 62`` so products stay exact in int64 lanes.
     """
 
@@ -545,23 +548,23 @@ class FixedWordKernel(_WordKernel):
         odd = (products >> fraction_bits) & 1
         return (products + (half - 1) + odd) >> fraction_bits
 
-    def check(self, result: np.ndarray, where: str) -> np.ndarray:
+    def check(self, result: np.ndarray, slot) -> np.ndarray:
         """Overflow-check an op result, like the scalar backend raises."""
         if result.size and result.max() > self.max_mantissa:
             raise FixedPointOverflowError(
-                f"overflow at {where} in {self.fmt.describe()}"
+                f"overflow at slot {slot} in {self.fmt.describe()}"
             )
         return result
 
     # Composite checked operators (one rounding per two-input operator).
-    def add(self, a: np.ndarray, b: np.ndarray, where: str = "adder"):
-        return self.check(a + b, where)
+    def add(self, a: np.ndarray, b: np.ndarray, slot):
+        return self.check(a + b, slot)
 
-    def multiply(self, a: np.ndarray, b: np.ndarray, where: str = "multiplier"):
-        return self.check(self.round_products(a * b), where)
+    def multiply(self, a: np.ndarray, b: np.ndarray, slot):
+        return self.check(self.round_products(a * b), slot)
 
-    def maximum(self, a: np.ndarray, b: np.ndarray, where: str = "max"):
-        return self.check(np.maximum(a, b), where)
+    def maximum(self, a: np.ndarray, b: np.ndarray, slot):
+        return self.check(np.maximum(a, b), slot)
 
     # -- conversions ----------------------------------------------------
     def planes_of(self, words: np.ndarray) -> np.ndarray:
@@ -582,9 +585,8 @@ class FixedWordKernel(_WordKernel):
 class FloatWordKernel(_WordKernel):
     """Bit-exact vectorized float operator semantics on (m, e) planes.
 
-    The operator core of :class:`WordBatchExecutor` (tape sweeps) and
-    the hardware stream simulator
-    (:class:`repro.hw.stream.StreamSimulator`). Implements §3.1.2
+    The operator core of :class:`WordBatchExecutor`, and through it of
+    the hardware stream simulator. Implements §3.1.2
     operator semantics — exact integer-mantissa arithmetic with exactly
     one rounding per operator — vectorized with numpy, bit-identical to
     :class:`FloatBackend` (differentially tested). Alignment in addition
@@ -596,7 +598,7 @@ class FloatWordKernel(_WordKernel):
 
     Zeros are (0, 0) pairs, masked through every operator like the
     scalar backend's ``is_zero`` short-circuits. Float messages name the
-    format, not the operator site, so ``where`` is unused.
+    format, not the operator site, so ``slot`` is unused.
     """
 
     planes = 2
@@ -705,7 +707,7 @@ class FloatWordKernel(_WordKernel):
         return result
 
     # -- operators ------------------------------------------------------
-    def add(self, a: np.ndarray, b: np.ndarray, where: str = "adder"):
+    def add(self, a: np.ndarray, b: np.ndarray, slot):
         ma, ea, mb, eb = a[0], a[1], b[0], b[1]
         zero_a, zero_b = ma == 0, mb == 0
         any_zero = bool(zero_a.any()) or bool(zero_b.any())
@@ -739,7 +741,7 @@ class FloatWordKernel(_WordKernel):
             result = np.where(zero_a, b, np.where(zero_b, a, result))
         return result
 
-    def multiply(self, a: np.ndarray, b: np.ndarray, where: str = "multiplier"):
+    def multiply(self, a: np.ndarray, b: np.ndarray, slot):
         ma, ea, mb, eb = a[0], a[1], b[0], b[1]
         zero = (ma == 0) | (mb == 0)
         any_zero = bool(zero.any())
@@ -763,7 +765,7 @@ class FloatWordKernel(_WordKernel):
             result = np.where(zero, 0, result)
         return result
 
-    def maximum(self, a: np.ndarray, b: np.ndarray, where: str = "max"):
+    def maximum(self, a: np.ndarray, b: np.ndarray, slot):
         ma, ea, mb, eb = a[0], a[1], b[0], b[1]
         a_wins = (ma != 0) & (
             (mb == 0) | (ea > eb) | ((ea == eb) & (ma >= mb))
@@ -826,6 +828,12 @@ class WordBatchExecutor:
     included — whenever the format's ``fits_int64_products`` holds;
     wider formats raise ``ValueError`` so callers can fall back.
 
+    The forward sweep replays :attr:`Tape.segments`, one kernel call per
+    ``(level, opcode)`` segment. It reads only the tape's op-array
+    layout, which a hardware :class:`~repro.hw.program.DatapathProgram`
+    shares, so the same sweep simulates generated pipelines
+    (:class:`~repro.hw.stream.StreamSimulator`).
+
     Words keep the kernels' public shapes: fixed-point words are int64
     arrays, float words ``(mantissa, exponent)`` array pairs.
     """
@@ -837,15 +845,14 @@ class WordBatchExecutor:
         encoder: EvidenceEncoder | None = None,
     ) -> None:
         _require_binary_tape(tape)
-        kernel = word_kernel_for(fmt)
-        self._kernel = kernel
+        self.kernel = kernel = word_kernel_for(fmt)
         self.tape = tape
         self.fmt = fmt
         self.encoder = encoder or EvidenceEncoder.for_tape(tape)
         # Quantize the deduplicated parameter table once, exactly.
         self._param_table = kernel.planes_of(
             kernel.encode_params(tape.param_values)
-        ).T
+        )
 
     def encode_theta(self, theta: np.ndarray):
         """Per-row quantized parameter tables for a θ batch.
@@ -855,7 +862,7 @@ class WordBatchExecutor:
         pass as ``param_words``: quantized once per batch, reusable
         across forward and backward sweeps.
         """
-        return self._kernel.encode_param_matrix(theta)
+        return self.kernel.encode_param_matrix(theta)
 
     def _forward_planes(
         self,
@@ -865,34 +872,47 @@ class WordBatchExecutor:
     ) -> np.ndarray:
         """Word planes of *all* slots, ``(planes, num_slots, batch)``.
 
-        The sweep stores slots slot-major, so each operand word stack is
-        one integer index; the result is a planes-first view of that.
+        Errors name the first failing op in tape order, like the scalar
+        backends and the native kernels. A segment may hold a failing op
+        that comes later in the tape, so when a segment raises, the op
+        stream is replayed one op at a time to raise the exact error.
         """
-        tape, kernel = self.tape, self._kernel
+        tape, kernel = self.tape, self.kernel
         active = self.encoder.encode(evidence_batch, strict=strict)
         slots = np.zeros(
-            (tape.num_slots, kernel.planes, len(evidence_batch)),
+            (kernel.planes, tape.num_slots, len(evidence_batch)),
             dtype=np.int64,
         )
         if param_words is None:
             table = self._param_table[:, :, None]
         else:
-            table = kernel.planes_of(param_words).transpose(1, 0, 2)
-        slots[tape.param_slots] = table[tape.param_ids]
-        slots[tape.indicator_slots] = np.where(
-            active[:, None], kernel.one_planes[:, None], 0
+            table = kernel.planes_of(param_words)
+        slots[:, tape.param_slots] = table[:, tape.param_ids]
+        slots[:, tape.indicator_slots] = np.where(
+            active, kernel.one_planes[:, None, None], 0
         )
-        operators = kernel.operators
-        # A zero-lane batch has nothing to sweep; only its shapes matter.
-        forward = tape.op_tuples if slots.size else ()
-        for opcode, dest, left, right in forward:
+        if not slots.size:
+            return slots  # a zero-lane batch: only its shapes matter
+        try:
+            self._sweep(slots, tape.segments)
+        except (FixedPointOverflowError, FloatOverflowError, FloatUnderflowError):
+            pass  # replayed below, outside the handler: no chained error
+        else:
+            return slots
+        self._sweep(slots, tape.op_tuples)  # raises in tape order
+        return slots
+
+    def _sweep(self, slots: np.ndarray, stream) -> None:
+        """Replay ``(opcode, dests, lefts, rights)`` level segments or
+        tape ops (index arrays or ints) in order."""
+        operators = self.kernel.operators
+        for opcode, dests, lefts, rights in stream:
             if opcode == OP_COPY:
-                slots[dest] = slots[left]
+                slots[:, dests] = slots[:, lefts]
             else:
-                slots[dest] = operators[opcode](
-                    slots[left], slots[right], f"slot {dest}"
+                slots[:, dests] = operators[opcode](
+                    slots[:, lefts], slots[:, rights], dests
                 )
-        return slots.transpose(1, 0, 2)
 
     def _partials_planes(
         self,
@@ -907,32 +927,29 @@ class WordBatchExecutor:
         what :meth:`QuantizedTapeEvaluator.partials` does with the
         big-int backend.
         """
-        tape, kernel = self.tape, self._kernel
+        tape, kernel = self.tape, self.kernel
         tape.require_differentiable()
         root = tape.require_root()
-        planes = self._forward_planes(evidence_batch, strict, param_words)
-        slots = planes.transpose(1, 0, 2)  # slot-major, like the sweep
+        slots = self._forward_planes(evidence_batch, strict, param_words)
         adjoints = np.zeros_like(slots)
-        adjoints[root] = kernel.one_planes[:, None]
+        adjoints[:, root] = kernel.one_planes[:, None]
         add, multiply = kernel.add, kernel.multiply
         backward = tape.backward.op_tuples if slots.size else ()
         for opcode, dest, left, right in backward:
-            seed = adjoints[dest]
+            seed = adjoints[:, dest]
             if opcode == OP_PRODUCT:
-                where = f"slot {left}"
-                contribution = multiply(seed, slots[right], where)
-                adjoints[left] = add(adjoints[left], contribution, where)
-                where = f"slot {right}"
-                contribution = multiply(seed, slots[left], where)
-                adjoints[right] = add(adjoints[right], contribution, where)
+                contribution = multiply(seed, slots[:, right], left)
+                adjoints[:, left] = add(adjoints[:, left], contribution, left)
+                contribution = multiply(seed, slots[:, left], right)
+                adjoints[:, right] = add(
+                    adjoints[:, right], contribution, right
+                )
             else:  # OP_SUM / OP_COPY: adjoints flow through unscaled
-                adjoints[left] = add(adjoints[left], seed, f"slot {left}")
+                adjoints[:, left] = add(adjoints[:, left], seed, left)
                 if opcode == OP_SUM:
-                    adjoints[right] = add(
-                        adjoints[right], seed, f"slot {right}"
-                    )
+                    adjoints[:, right] = add(adjoints[:, right], seed, right)
         n = tape.num_nodes
-        return planes[:, :n], adjoints[:n].transpose(1, 0, 2)
+        return slots[:, :n], adjoints[:, :n]
 
     def evaluate_batch_words(
         self,
@@ -949,7 +966,7 @@ class WordBatchExecutor:
         """
         root = self.tape.require_root()
         planes = self._forward_planes(evidence_batch, strict, param_words)
-        return self._kernel.words_of(planes[:, root].copy())
+        return self.kernel.words_of(planes[:, root].copy())
 
     def evaluate_batch(
         self,
@@ -960,7 +977,7 @@ class WordBatchExecutor:
         """Float64 values of the root word for a whole batch."""
         root = self.tape.require_root()
         planes = self._forward_planes(evidence_batch, strict, param_words)
-        return self._kernel.real(planes[:, root])
+        return self.kernel.real(planes[:, root])
 
     def partials_batch_words(
         self,
@@ -978,7 +995,7 @@ class WordBatchExecutor:
         values, partials = self._partials_planes(
             evidence_batch, strict, param_words
         )
-        words_of = self._kernel.words_of
+        words_of = self.kernel.words_of
         return words_of(values.copy()), words_of(partials.copy())
 
     def partials_batch(
@@ -991,4 +1008,4 @@ class WordBatchExecutor:
         values, partials = self._partials_planes(
             evidence_batch, strict, param_words
         )
-        return self._kernel.real(values), self._kernel.real(partials)
+        return self.kernel.real(values), self.kernel.real(partials)

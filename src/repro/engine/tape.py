@@ -170,6 +170,16 @@ class Tape:
             object.__setattr__(self, "_op_tuples", cached)
         return cached
 
+    @property
+    def segments(self) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The op stream as level-major ``(opcode, dests, lefts, rights)``
+        segments — the tape's cached
+        :class:`~repro.engine.analysis.ForwardSchedule`, which the
+        vectorized forward sweeps replay segment by segment."""
+        from .analysis import tape_analysis_for  # analysis imports tape
+
+        return tape_analysis_for(self).schedule.segments
+
     def require_root(self) -> int:
         if self.root is None:
             raise ValueError(f"circuit {self.name!r} has no root set")

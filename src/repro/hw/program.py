@@ -55,7 +55,14 @@ def _require_binary(circuit: ArithmeticCircuit) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DatapathProgram:
-    """A single-assignment datapath netlist with pipeline structure."""
+    """A single-assignment datapath netlist with pipeline structure.
+
+    Carries the :class:`~repro.engine.tape.Tape` op-array layout, so the
+    engine's executors replay a program exactly like a tape.
+    """
+
+    #: Lowering rejects non-binary circuits, so every program is binary.
+    source_is_binary = True
 
     name: str
     #: ``"forward"`` (joint evaluations) or ``"marginals"`` (backward pass).
@@ -93,6 +100,12 @@ class DatapathProgram:
         return len(self.opcodes)
 
     @property
+    def param_ids(self) -> np.ndarray:
+        """Index into :attr:`param_values` per constant slot: identity,
+        since a program keeps one value per constant slot."""
+        return np.arange(len(self.param_slots))
+
+    @property
     def op_tuples(self) -> list[tuple[int, int, int, int]]:
         """The op stream as plain int tuples (cached; per-cycle oracle)."""
         cached = self._op_tuples
@@ -111,8 +124,8 @@ class DatapathProgram:
         """``(level, opcode)`` segments for vectorized stream replay.
 
         Built by the same :func:`repro.engine.analysis.schedule_segments`
-        the tape analysis uses — the stream simulator's sweeps and the
-        engine's analysis replays share one scheduling implementation.
+        as :attr:`Tape.segments <repro.engine.tape.Tape.segments>`, so
+        the engine's forward sweep replays a program like a tape.
         """
         cached = self._segments
         if cached is None:

@@ -7,14 +7,17 @@ The key observation: in a *balanced* fully pipelined datapath, the
 register at stage ℓ holds, at cycle ``c``, exactly the level-ℓ value of
 the input presented at cycle ``c - ℓ``. Advancing every pipeline
 register over a whole stream is therefore equivalent to replaying the
-design's :class:`~repro.hw.program.DatapathProgram` once per input — and
-that replay vectorizes over the *entire stream* as batched numpy sweeps
-over the program's ``(level, opcode)`` segments, with the engine's
-bit-exact word kernels (:class:`~repro.engine.executors.FixedWordKernel`
-/ :class:`~repro.engine.executors.FloatWordKernel`) as the operator
-semantics. Formats too wide for the int64 kernels fall back to a scalar
-big-int program walk per input — still one walk per input instead of one
-per cycle, and bit-identical either way.
+design's :class:`~repro.hw.program.DatapathProgram` once per input.
+
+The simulator is a thin adapter over the engine's executors, which read
+a program like a tape. Int64 formats replay the whole stream in the
+:class:`~repro.engine.executors.WordBatchExecutor` forward sweep, one
+call per ``(level, opcode)`` segment — the levels are the pipeline
+stages. Wider formats run one
+:class:`~repro.engine.executors.QuantizedTapeEvaluator` big-int walk per
+input: one walk per input instead of one per cycle. Both are
+bit-identical to §3.1 operator semantics; the adapter picks the output
+slots and packs their words.
 
 X-propagation is modeled as a **validity plane**: an input presented as
 ``None`` (Verilog ``X``) makes exactly the output words ``latency``
@@ -27,14 +30,13 @@ structure cannot hide behind the validity shortcut.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..engine.encoder import EvidenceEncoder
-from ..engine.executors import word_kernel_for
+from ..engine.executors import QuantizedTapeEvaluator, WordBatchExecutor
 from ..engine.session import backend_for_format
-from ..engine.tape import OP_COPY, OP_MAX, OP_PRODUCT, OP_SUM
 from .netlist import HardwareDesign, pack_float_word
 
 
@@ -48,18 +50,31 @@ class StreamSimulator:
         self.latency = design.latency_cycles
         self.encoder = EvidenceEncoder(self.program.indicator_keys)
         self.vectorized = bool(design.fmt.fits_int64_products)
-        if not self.vectorized:
-            # Wide-format fallback: scalar big-int program walks.
-            self._backend = backend_for_format(design.fmt)
-            return
-        self._kernel = word_kernel_for(design.fmt)
-        self._param_planes = self._kernel.planes_of(
-            self._kernel.encode_params(self.program.param_values)
-        )
+        if self.vectorized:
+            self._executor = WordBatchExecutor(self.program, self.fmt, self.encoder)
+        else:
+            # One backend per simulator: the evaluator quantizes the
+            # constant table once per backend.
+            self._evaluator = QuantizedTapeEvaluator(self.program, self.encoder)
+            self._wide_backend = backend_for_format(self.fmt)
 
     # ------------------------------------------------------------------
     # Core replay
     # ------------------------------------------------------------------
+    def _outputs(self, evidence_batch, strict: bool):
+        """Output words of a non-empty batch.
+
+        Int64 formats: word planes ``(planes, num_outputs, n)``. Wide
+        formats: one list of backend values per input.
+        """
+        outputs = self.program.output_slots
+        if self.vectorized:
+            planes = self._executor._forward_planes(evidence_batch, strict)
+            return planes[:, outputs]
+        evaluator, backend = self._evaluator, self._wide_backend
+        rows = (evaluator._forward_slots(backend, e, strict) for e in evidence_batch)
+        return [[slots[slot] for slot in outputs] for slots in rows]
+
     def output_words(
         self,
         evidence_batch: Sequence[Mapping[str, int]],
@@ -75,12 +90,13 @@ class StreamSimulator:
             return np.empty(
                 (len(self.program.output_slots), 0), dtype=np.int64
             )
-        if not self.vectorized:
-            # Object dtype: wide-format words overflow int64 by design.
-            words, _ = self._scalar_outputs(evidence_batch, strict)
-            return words
-        planes = self._planes(evidence_batch, strict)
-        return self._kernel.pack_planes(planes[:, self.program.output_slots])
+        outputs = self._outputs(evidence_batch, strict)
+        if self.vectorized:
+            return self._executor.kernel.pack_planes(outputs)
+        # Object dtype: wide-format words overflow int64 by design.
+        pack = (lambda v: v.mantissa) if self.design.is_fixed else pack_float_word
+        words = [[pack(value) for value in row] for row in outputs]
+        return np.asarray(words, dtype=object).T
 
     def output_values(
         self,
@@ -90,88 +106,12 @@ class StreamSimulator:
         """Float64 result values, shape ``(num_outputs, len(batch))``."""
         if len(evidence_batch) == 0:
             return np.empty((len(self.program.output_slots), 0))
-        if not self.vectorized:
-            _, values = self._scalar_outputs(evidence_batch, strict)
-            return values
-        planes = self._planes(evidence_batch, strict)
-        return self._kernel.real(planes[:, self.program.output_slots])
-
-    def _planes(self, evidence_batch, strict) -> np.ndarray:
-        """Word planes of every program slot, ``(planes, num_slots, n)``."""
-        program = self.program
-        kernel = self._kernel
-        active = self.encoder.encode(evidence_batch, strict=strict)
-        slots = np.zeros(
-            (kernel.planes, program.num_slots, len(evidence_batch)),
-            dtype=np.int64,
-        )
-        slots[:, program.param_slots] = self._param_planes[:, :, None]
-        slots[:, program.indicator_slots] = np.where(
-            active, kernel.one_planes[:, None, None], 0
-        )
-        operators = kernel.operators
-        for opcode, dests, lefts, rights in program.segments:
-            if opcode == OP_COPY:
-                slots[:, dests] = slots[:, lefts]
-            else:
-                # Default ``where`` labels name the operator: "adder",
-                # "multiplier", "max".
-                slots[:, dests] = operators[opcode](
-                    slots[:, lefts], slots[:, rights]
-                )
-        return slots
-
-    # -- scalar big-int fallback ----------------------------------------
-    def _scalar_outputs(
-        self, evidence_batch, strict: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(words, values)`` per output for formats beyond int64 lanes.
-
-        One big-int program walk per input — bit-identical to the
-        per-cycle oracle by construction (same backend ops, same stream)
-        but one walk per *input* instead of one per cycle.
-        """
-        program = self.program
-        backend = self._backend
-        constants = {
-            int(slot): backend.from_real(float(value))
-            for slot, value in zip(program.param_slots, program.param_values)
-        }
-        one, zero = backend.one(), backend.zero()
-        word_columns = []
-        value_columns = []
-        for evidence in evidence_batch:
-            active = self.encoder.encode_one(evidence, strict=strict)
-            values: list[Any] = [None] * program.num_slots
-            for slot, constant in constants.items():
-                values[slot] = constant
-            for position, slot in enumerate(program.indicator_slots):
-                values[slot] = one if active[position] else zero
-            for opcode, dest, left, right in program.op_tuples:
-                if opcode == OP_SUM:
-                    values[dest] = backend.add(values[left], values[right])
-                elif opcode == OP_PRODUCT:
-                    values[dest] = backend.multiply(
-                        values[left], values[right]
-                    )
-                elif opcode == OP_MAX:
-                    values[dest] = backend.maximum(
-                        values[left], values[right]
-                    )
-                else:  # OP_COPY
-                    values[dest] = values[left]
-            outputs = [values[int(s)] for s in program.output_slots]
-            if self.design.is_fixed:
-                word_columns.append([value.mantissa for value in outputs])
-            else:
-                word_columns.append(
-                    [pack_float_word(value) for value in outputs]
-                )
-            value_columns.append(
-                [backend.to_real(value) for value in outputs]
-            )
-        words = np.asarray(word_columns, dtype=object).T
-        return words, np.asarray(value_columns, dtype=np.float64).T
+        outputs = self._outputs(evidence_batch, strict)
+        if self.vectorized:
+            return self._executor.kernel.real(outputs)
+        to_real = self._wide_backend.to_real
+        values = [[to_real(value) for value in row] for row in outputs]
+        return np.asarray(values, dtype=np.float64).T
 
     # ------------------------------------------------------------------
     # Stream-level interfaces

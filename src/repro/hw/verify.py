@@ -6,15 +6,19 @@ cycle) and compare every output word against the reference quantized
 evaluation of the circuit. Results must be *bit-exact* — any deviation
 indicates broken register balancing or operator semantics.
 
-The design side runs on the vectorized
-:class:`~repro.hw.stream.StreamSimulator` (differentially pinned
-bit-identical to the per-cycle oracle, so the fast path loses no
-checking power); references come from the compiled-tape engine —
+The design side runs on :class:`~repro.hw.stream.StreamSimulator`, a
+thin adapter that replays the design's
+:class:`~repro.hw.program.DatapathProgram` on the engine's executors
+(differentially pinned bit-identical to the per-cycle oracle, so the
+fast path loses no checking power). References replay the circuit's
+tape through the engine's session —
 :meth:`~repro.engine.session.InferenceSession.evaluate_quantized_batch`
 for forward designs and
 :meth:`~repro.engine.session.InferenceSession.quantized_marginals_batch`
-(unnormalized joints) for backward-pass marginal designs — so either way
-the comparison is against §3.1 operator semantics.
+(unnormalized joints) for backward-pass marginal designs — on the native
+kernels where they build. Either way the comparison is against §3.1
+operator semantics, and it checks what the lowering adds: the program's
+op stream, its single-assignment backward pass and its outputs.
 """
 
 from __future__ import annotations

@@ -37,6 +37,13 @@ class TestNodeValidation:
         with pytest.raises(ValueError, match="non-negative"):
             Node(OpType.PARAMETER, value=float("nan"))
 
+    def test_parameter_rejects_infinity(self):
+        with pytest.raises(ValueError) as error:
+            ArithmeticCircuit().add_parameter(float("inf"))
+        assert str(error.value) == (
+            "AC parameters must be non-negative finite numbers, got inf"
+        )
+
     def test_indicator_needs_variable_and_state(self):
         with pytest.raises(ValueError, match="variable"):
             Node(OpType.INDICATOR)

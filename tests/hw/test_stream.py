@@ -391,8 +391,9 @@ class TestStreamErrors:
     """Exception types and messages of the vectorized plane loop.
 
     The stream simulator raises the scalar backends' exceptions: fixed
-    overflow names the operator (adder / multiplier) and the format,
-    float overflow and underflow name the format and its exponent range.
+    overflow names the program slot of the first failing op in program
+    order and the format, float overflow and underflow name the format
+    and its exponent range.
     """
 
     FIXED = FixedPointFormat(1, 10)
@@ -408,7 +409,8 @@ class TestStreamErrors:
         assert simulator.vectorized
         with pytest.raises(FixedPointOverflowError) as error:
             getattr(simulator, method)([{}])
-        assert str(error.value) == "overflow at adder in fixed(I=1, F=10)"
+        # Slot 7 = 0.9 + 0.9 fits; slot 8 = slot 7 + 0.9 overflows.
+        assert str(error.value) == "overflow at slot 8 in fixed(I=1, F=10)"
 
     def test_fixed_forward_multiplier_overflow(self):
         from repro.arith.fixedpoint import FixedPointOverflowError
@@ -416,9 +418,8 @@ class TestStreamErrors:
         design = _stream_design([1.5, 1.5], "product", self.FIXED, "joint")
         with pytest.raises(FixedPointOverflowError) as error:
             StreamSimulator(design).output_words([{}])
-        assert str(error.value) == (
-            "overflow at multiplier in fixed(I=1, F=10)"
-        )
+        # Slot 5 = 1.5 · 1.5, the root product.
+        assert str(error.value) == "overflow at slot 5 in fixed(I=1, F=10)"
 
     def test_fixed_backward_adder_overflow(self):
         """λ(A=0)'s adjoint sums three 0.7 terms (2.1 > 2) while the
@@ -437,7 +438,8 @@ class TestStreamErrors:
         )
         with pytest.raises(FixedPointOverflowError) as error:
             StreamSimulator(marginals).output_words(evidence)
-        assert str(error.value) == "overflow at adder in fixed(I=1, F=10)"
+        # Slot 10, the first backward accumulation, sums two unit seeds.
+        assert str(error.value) == "overflow at slot 10 in fixed(I=1, F=10)"
 
     @pytest.mark.parametrize("workload", ["joint", "marginals"])
     def test_float_product_underflow(self, workload):
@@ -462,3 +464,82 @@ class TestStreamErrors:
             "overflow in float(E=3, M=6): exponent exceeds 4; increase "
             "exponent bits"
         )
+
+
+def _tape_order_circuit(a, b, c, d, e, combine_t):
+    """``s2 = (a + b) + c`` (level 2, earlier in the tape) and
+    ``t = d ⊕ e`` (level 1, later), rooted at ``s2 · t``."""
+    from repro.ac.circuit import ArithmeticCircuit
+
+    circuit = ArithmeticCircuit()
+    s1 = circuit.add_sum([circuit.add_parameter(a), circuit.add_parameter(b)])
+    s2 = circuit.add_sum([s1, circuit.add_parameter(c)])
+    leaves = [circuit.add_parameter(d), circuit.add_parameter(e)]
+    t = getattr(circuit, f"add_{combine_t}")(leaves)
+    circuit.set_root(circuit.add_product([s2, t]))
+    tape = tape_for(circuit)
+    levels = tape_analysis_for(tape).schedule.levels
+    dests = tape.dests.tolist()
+    # The premise: a level-major sweep meets t before s2.
+    assert dests.index(s2) < dests.index(t) and levels[s2] > levels[t]
+    return circuit, s2
+
+
+def _tier_evaluators(circuit, fmt):
+    from repro.engine import native_available, native_kernels_for
+    from repro.engine.executors import WordBatchExecutor
+
+    tape = tape_for(circuit)
+    tiers = {
+        "numpy": lambda: WordBatchExecutor(tape, fmt).evaluate_batch([{}]),
+        "stream": lambda: StreamSimulator(
+            generate_hardware(circuit, fmt)
+        ).output_words([{}]),
+    }
+    if native_available():
+        tiers["native"] = lambda: native_kernels_for(tape).evaluate_quantized(
+            fmt, {}
+        )
+    return tiers
+
+
+class TestTapeOrderErrors:
+    """Errors name the first failing op in tape order, not in level order.
+
+    Both a deeper, earlier op and a shallower, later op fail; a plain
+    level-segment sweep would report the later one. Every int64 tier —
+    numpy executor, native kernels, stream simulator — must report the
+    earlier one.
+    """
+
+    @pytest.mark.parametrize("tier", ["numpy", "native", "stream"])
+    def test_fixed_overflow_names_first_slot_in_tape_order(self, tier):
+        from repro.arith.fixedpoint import FixedPointOverflowError
+
+        # s1 = 1.7 fits fixed(1, 10); s2 = 2.4 and t = 2.75 overflow.
+        circuit, s2 = _tape_order_circuit(0.9, 0.8, 0.7, 1.5, 1.25, "sum")
+        fmt = FixedPointFormat(1, 10)
+        evaluate = _tier_evaluators(circuit, fmt).get(tier)
+        if evaluate is None:
+            pytest.skip("native toolchain unavailable")
+        with pytest.raises(FixedPointOverflowError) as error:
+            evaluate()
+        assert str(error.value) == (
+            f"overflow at slot {s2} in fixed(I=1, F=10)"
+        )
+        assert error.value.__context__ is None
+
+    @pytest.mark.parametrize("tier", ["numpy", "native", "stream"])
+    def test_float_overflow_precedes_later_underflow(self, tier):
+        from repro.arith.floatingpoint import FloatOverflowError
+
+        # float(E=3, M=6) spans [2^-2, 2^5): s1 = 24 fits, s2 = 36
+        # overflows, t = 0.3 · 0.3 = 0.09 underflows.
+        circuit, _ = _tape_order_circuit(12.0, 12.0, 12.0, 0.3, 0.3, "product")
+        fmt = FloatFormat(3, 6)
+        evaluate = _tier_evaluators(circuit, fmt).get(tier)
+        if evaluate is None:
+            pytest.skip("native toolchain unavailable")
+        with pytest.raises(FloatOverflowError) as error:
+            evaluate()
+        assert error.value.__context__ is None
